@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--oracle-pairs", type=_positive_int, default=10000)
+    p.add_argument("--oracle-pairs", type=_positive_int, default=None,
+                   help="conjugacy oracle pairs (default 10000, 200 with --quick)")
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=cmd_verify_suite)
 

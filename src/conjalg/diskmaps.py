@@ -13,10 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL = 1e-9
-WITNESS_TOL = 1e-10
-BOUNDARY_PROBES = 720
-INTERIOR_PROBES = 360
+# Tolerances; maps are stored with determinant one, so each works on a fixed scale.
+TOL = 1e-9               # coefficient tests: sign, identity, fixed points, image disk
+WITNESS_TOL = 1e-10      # largest |gamma(m1(z)) - m2(gamma(z))| a witness may show
+WITNESS_AUTO_TOL = 1e-8  # a witness is several compositions deep, so it is checked more loosely
+BOUNDARY_BAND = 1e-6     # a double boundary fixed point splits by ~sqrt(eps) under conjugation
+TRACE_BAND = 1e-7        # |tr^2 - 4| of a double fixed point; the trace is conjugation-stable
+MULTIPLIER_BAND = 1e-7   # slack on |derivative| <= 1 when picking the Denjoy-Wolff point
+INFINITY_BAND = 1e-6     # |c| of a half-plane conjugate fixing infinity; p has root error
+INVARIANT_TOL = 1e-8     # two normal-form invariants agree
+KAPPA_CUTOFF = 1e-10     # smaller |kappa|: a pure rotation, whose phase needs no aligning
+POLE_GUARD = 1e-300      # |cz + d| below which z is the pole
 
 
 class MobiusError(ValueError):
@@ -41,18 +48,12 @@ def _normalize(a, b, c, d):
         raise MobiusError("matrix is singular")
     s = cmath.sqrt(det)
     a, b, c, d = a / s, b / s, c / s, d / s
-    tr = a + d
-    flip = False
-    if abs(tr) > TOL:
-        if tr.real < -TOL or (abs(tr.real) <= TOL and tr.imag < 0):
-            flip = True
-    else:
-        for w in (a, b, c, d):
-            if abs(w) > TOL:
-                if w.real < -TOL or (abs(w.real) <= TOL and w.imag < 0):
-                    flip = True
-                break
-    if flip:
+    # the sign of the root: the trace, or else the first coefficient that is
+    # not zero, points into the right half-plane
+    lead = a + d
+    if abs(lead) <= TOL:
+        lead = next((w for w in (a, b, c, d) if abs(w) > TOL), 0j)
+    if lead.real < -TOL or (abs(lead.real) <= TOL and lead.imag < 0):
         a, b, c, d = -a, -b, -c, -d
     return a, b, c, d
 
@@ -119,14 +120,14 @@ class MobiusMap:
 
 def mobius_apply(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
-    if abs(den) < 1e-300:
+    if abs(den) < POLE_GUARD:
         raise PoleError("evaluation at a pole")
     return (m.a * z + m.b) / den
 
 
 def mobius_derivative(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
-    if abs(den) < 1e-300:
+    if abs(den) < POLE_GUARD:
         raise PoleError("derivative at a pole")
     return 1.0 / (den * den)  # det is one
 
@@ -145,39 +146,36 @@ def mobius_inverse(m: MobiusMap) -> MobiusMap:
     return MobiusMap(m.d, -m.b, -m.c, m.a)
 
 
-def _probe_points(n_boundary=BOUNDARY_PROBES, n_interior=INTERIOR_PROBES):
-    ang = np.linspace(0.0, 2 * math.pi, n_boundary, endpoint=False)
-    boundary = np.exp(1j * ang)
-    k = np.arange(n_interior)
-    radii = (k + 0.5) / n_interior
-    interior = radii * np.exp(2j * math.pi * k * 0.6180339887498949)
-    return boundary, interior
+def _image_disk(m: MobiusMap):
+    """Centre c0 and radius r of the image of the closed disk, or None when
+    the pole -d/c lies in the closed disk (|d| <= |c|).
+
+    With D = |d|^2 - |c|^2, c0 = (b conj(d) - a conj(c)) / D and r = 1 / D;
+    both are divided through by |d|^2, so that no product overflows.
+    """
+    q = m.c / m.d if m.d else math.inf
+    s = 1 - abs(q) * abs(q)  # D / |d|^2; a product saturates where a square raises
+    if not s > 0:
+        return None
+    return (m.b - m.a * q.conjugate()) / m.d / s, 1 / s / abs(m.d) / abs(m.d)
 
 
-def maps_disk_to_disk(m: MobiusMap, tol: float = TOL) -> bool:
-    boundary, interior = _probe_points()
-    for pts in (boundary, interior):
-        den = m.c * pts + m.d
-        if np.min(np.abs(den)) < 1e-12:
-            return False
-        if np.max(np.abs((m.a * pts + m.b) / den)) > 1 + tol:
-            return False
-    return True
+def maps_disk_to_disk(m: MobiusMap) -> bool:
+    """m sends the closed disk into itself: max |m(z)| = |c0| + r <= 1."""
+    disk = _image_disk(m)
+    return disk is not None and abs(disk[0]) + disk[1] <= 1 + TOL
 
 
 def is_disk_automorphism(m: MobiusMap, tol: float = TOL) -> bool:
-    if not maps_disk_to_disk(m, tol):
-        return False
-    boundary, _ = _probe_points()
-    vals = np.abs((m.a * boundary + m.b) / (m.c * boundary + m.d))
-    return bool(np.max(np.abs(vals - 1)) <= tol)
+    """m maps the disk onto itself: while r >= |c0|, the largest value of
+    ||m(z)| - 1| on the unit circle is |c0| + |r - 1|."""
+    disk = _image_disk(m)
+    return disk is not None and abs(disk[0]) + abs(disk[1] - 1) <= tol
 
 
-# a double boundary fixed point splits by about sqrt(machine eps) under
-# conjugation, so the boundary band must be much wider than TOL
-def _location(z: complex, tol: float = 1e-6) -> str:
+def _location(z: complex) -> str:
     r = abs(z)
-    if abs(r - 1) <= tol:
+    if abs(r - 1) <= BOUNDARY_BAND:
         return "boundary"
     return "interior" if r < 1 else "exterior"
 
@@ -228,25 +226,19 @@ class DiskClassification:
         }
 
 
-def _is_identity(m: MobiusMap) -> bool:
-    return (
-        abs(m.b) <= TOL and abs(m.c) <= TOL and abs(m.a - m.d) <= TOL
-    )
-
-
-def classify(m: MobiusMap, tol: float = TOL) -> DiskClassification:
+def classify(m: MobiusMap) -> DiskClassification:
     """Classify a Mobius self-map of the closed disk.
 
     The distinguished fixed point is the interior one for elliptic maps,
     the attracting one otherwise.
     """
-    if not maps_disk_to_disk(m, max(tol, TOL)):
+    if not maps_disk_to_disk(m):
         raise NotDiskMapError("not a self-map of the closed unit disk")
-    if _is_identity(m):
+    if abs(m.b) <= TOL and abs(m.c) <= TOL and abs(m.a - m.d) <= TOL:  # identity
         return DiskClassification(KIND_IDENTITY, ((0.0 + 0.0j, "interior"),), 1.0 + 0j)
 
     fps = mobius_fixed_points(m)
-    auto = is_disk_automorphism(m, max(tol, TOL))
+    auto = is_disk_automorphism(m)
 
     def mult(z):
         return mobius_derivative(m, z)
@@ -261,10 +253,10 @@ def classify(m: MobiusMap, tol: float = TOL) -> DiskClassification:
         kind = KIND_ELLIPTIC_AUTO if auto else KIND_ELLIPTIC_NONAUTO
         return DiskClassification(kind, tuple([interior[0]] + rest), lam)
 
+    t2 = (m.a + m.d) ** 2
     if auto:
         # parabolic iff the squared trace is 4 (double boundary fixed point)
-        t2 = (m.a + m.d) ** 2
-        if abs(t2 - 4) <= 1e-7:
+        if abs(t2 - 4) <= TRACE_BAND:
             z = (m.a - m.d) / (2 * m.c) if abs(m.c) > TOL else boundary[0][0]
             return DiskClassification(
                 KIND_PARABOLIC, ((z, "boundary"),), 1.0 + 0.0j
@@ -279,15 +271,14 @@ def classify(m: MobiusMap, tol: float = TOL) -> DiskClassification:
     # non-elliptic non-automorphism: a double fixed point is detected from
     # the trace, which is stable under conjugation, rather than from the
     # numerically split roots
-    t2 = (m.a + m.d) ** 2
-    if abs(m.c) > TOL and abs(t2 - 4) <= 1e-7:
+    if abs(m.c) > TOL and abs(t2 - 4) <= TRACE_BAND:
         z = (m.a - m.d) / (2 * m.c)
         return DiskClassification(
             KIND_NONELLIPTIC_NONAUTO, ((z, "boundary"),), mult(z)
         )
     # otherwise the Denjoy-Wolff point is the boundary fixed point with
     # derivative of modulus at most one
-    candidates = [p for p in boundary if abs(mult(p[0])) <= 1 + 1e-7]
+    candidates = [p for p in boundary if abs(mult(p[0])) <= 1 + MULTIPLIER_BAND]
     if not candidates:
         raise MobiusError("no attracting boundary fixed point found")
     dw = min(candidates, key=lambda p: abs(mult(p[0])))
@@ -306,42 +297,47 @@ def _halfplane_form(m: MobiusMap, p: complex):
     """Coefficients (A, B) of the conjugated map w -> A w + B fixing infinity."""
     g = _halfplane_chart(p)
     t = mobius_compose(mobius_compose(g, m), mobius_inverse(g))
-    if abs(t.c) > 1e-6:
+    if abs(t.c) > INFINITY_BAND:
         raise MobiusError("conjugated map does not fix infinity")
     return t.a / t.d, t.b / t.d
 
 
 def normal_form(m: MobiusMap):
     """Kind plus the conjugation-invariant tuple of the map."""
-    cl = classify(m)
+    kind, inv, _ = _normal_form(m, classify(m))
+    return kind, inv
+
+
+def _normal_form(m: MobiusMap, cl: DiskClassification):
+    """Kind, invariants and the form they are read from: phi m phi^-1 for
+    elliptic kinds, the half-plane (A, B) for boundary kinds, else None."""
     if cl.kind == KIND_IDENTITY:
-        return cl.kind, ()
+        return cl.kind, (), None
     if cl.kind in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO):
         phi = MobiusMap.blaschke(cl.distinguished)
         n = mobius_compose(mobius_compose(phi, m), mobius_inverse(phi))
         lam = n.a / n.d
         kappa = -n.c / n.d
-        return cl.kind, (complex(lam), abs(kappa))
+        return cl.kind, (complex(lam), abs(kappa)), n
     if cl.kind == KIND_HYPERBOLIC:
-        return cl.kind, (float(cl.multiplier.real),)
-    if cl.kind == KIND_PARABOLIC:
-        _, B = _halfplane_form(m, cl.distinguished)
-        return cl.kind, (1.0 if B.real >= 0 else -1.0,)
-    # non-elliptic non-automorphism
+        return cl.kind, (float(cl.multiplier.real),), None
     A, B = _halfplane_form(m, cl.distinguished)
+    if cl.kind == KIND_PARABOLIC:
+        return cl.kind, (1.0 if B.real >= 0 else -1.0,), (A, B)
+    # non-elliptic non-automorphism
     if len(cl.fixed_points) == 1:  # double fixed point: parabolic type
-        return cl.kind, ("parabolic_type", complex(B / abs(B)))
-    return cl.kind, ("two_fixed_points", float((1.0 / A).real))
+        return cl.kind, ("parabolic_type", complex(B / abs(B))), (A, B)
+    return cl.kind, ("two_fixed_points", float((1.0 / A).real)), (A, B)
 
 
-def _invariants_match(inv1, inv2, tol=1e-8) -> bool:
+def _invariants_match(inv1, inv2) -> bool:
     if len(inv1) != len(inv2):
         return False
     for u, v in zip(inv1, inv2):
         if isinstance(u, str) or isinstance(v, str):
             if u != v:
                 return False
-        elif abs(complex(u) - complex(v)) > tol:
+        elif abs(complex(u) - complex(v)) > INVARIANT_TOL:
             return False
     return True
 
@@ -370,20 +366,18 @@ def disk_samples(count: int = 1000, seed: int = 0) -> list:
 
 
 def _verified(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap):
-    if not is_disk_automorphism(gamma, 1e-8):
+    if not is_disk_automorphism(gamma, WITNESS_AUTO_TOL):
         return None
     dev = verify_conjugacy_witness(gamma, m1, m2, disk_samples(400, seed=7))
     return gamma if dev <= WITNESS_TOL else None
 
 
-def _elliptic_witness(m1, m2, cl1, cl2):
+def _elliptic_witness(m1, m2, cl1, cl2, n1, n2):
     phi1 = MobiusMap.blaschke(cl1.distinguished)
     phi2 = MobiusMap.blaschke(cl2.distinguished)
-    n1 = mobius_compose(mobius_compose(phi1, m1), mobius_inverse(phi1))
-    n2 = mobius_compose(mobius_compose(phi2, m2), mobius_inverse(phi2))
     k1 = -n1.c / n1.d
     k2 = -n2.c / n2.d
-    if abs(k1) > 1e-10 and abs(k2) > 1e-10:
+    if abs(k1) > KAPPA_CUTOFF and abs(k2) > KAPPA_CUTOFF:
         c = (k1 / k2) / abs(k1 / k2)
     else:
         c = 1.0
@@ -431,22 +425,24 @@ def _halfplane_witness(m1, m2, cl1, cl2, a: float, b: float):
 
 def analytically_conjugate(m1: MobiusMap, m2: MobiusMap):
     """Witness automorphism gamma with gamma o m1 = m2 o gamma, or None."""
-    cl1 = classify(m1)
-    cl2 = classify(m2)
+    return _conjugate(m1, classify(m1), m2, classify(m2))
+
+
+def _conjugate(m1: MobiusMap, cl1: DiskClassification,
+               m2: MobiusMap, cl2: DiskClassification):
     if cl1.kind != cl2.kind:
         return None
-    kind1, inv1 = normal_form(m1)
-    _, inv2 = normal_form(m2)
+    kind1, inv1, form1 = _normal_form(m1, cl1)
+    _, inv2, form2 = _normal_form(m2, cl2)
     if not _invariants_match(inv1, inv2):
         return None
     if kind1 == KIND_IDENTITY:
         return MobiusMap.identity()
     if kind1 in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO):
-        return _elliptic_witness(m1, m2, cl1, cl2)
+        return _elliptic_witness(m1, m2, cl1, cl2, form1, form2)
     if kind1 == KIND_HYPERBOLIC:
         return _hyperbolic_witness(m1, m2, cl1, cl2)
-    A1, B1 = _halfplane_form(m1, cl1.distinguished)
-    A2, B2 = _halfplane_form(m2, cl2.distinguished)
+    (A1, B1), (A2, B2) = form1, form2
     if kind1 == KIND_PARABOLIC:
         return _halfplane_witness(m1, m2, cl1, cl2, (B2 / B1).real, 0.0)
     if len(cl1.fixed_points) == 1:  # parabolic-type contraction
@@ -468,13 +464,14 @@ def semicrossed_iso_verdict(m1: MobiusMap, m2: MobiusMap):
     algebra remembers the map up to inversion; everywhere else isomorphism
     forces plain analytic conjugacy.
     """
-    w = analytically_conjugate(m1, m2)
-    if w is not None:
-        return VERDICT_CONJUGATE, w
     cl1 = classify(m1)
     cl2 = classify(m2)
+    w = _conjugate(m1, cl1, m2, cl2)
+    if w is not None:
+        return VERDICT_CONJUGATE, w
     if cl1.kind == KIND_ELLIPTIC_AUTO and cl2.kind == KIND_ELLIPTIC_AUTO:
-        w = analytically_conjugate(m1, mobius_inverse(m2))
+        m2_inv = mobius_inverse(m2)
+        w = _conjugate(m1, cl1, m2_inv, classify(m2_inv))
         if w is not None:
             return VERDICT_INVERSE, w
     return VERDICT_NOT_ISOMORPHIC, None

@@ -9,6 +9,7 @@ hanging off each cycle point.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,9 +34,13 @@ class FiniteDynSys:
     map: tuple
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "map", tuple(map(operator.index, self.map)))
+        except TypeError as exc:
+            raise SystemError_("n and map entries must be integers: %s" % exc)
         if self.n < 1:
             raise SystemError_("system must have at least one point")
-        object.__setattr__(self, "map", tuple(int(v) for v in self.map))
         if len(self.map) != self.n:
             raise SystemError_("map table length must equal n")
         for v in self.map:
@@ -54,7 +59,7 @@ class FiniteDynSys:
     def from_json(cls, obj) -> "FiniteDynSys":
         if not isinstance(obj, dict) or "n" not in obj or "map" not in obj:
             raise SystemError_('system JSON must be {"n": int, "map": [...]}')
-        return cls(int(obj["n"]), tuple(obj["map"]))
+        return cls(obj["n"], tuple(obj["map"]))
 
     def to_json(self):
         return {"n": self.n, "map": list(self.map)}

@@ -46,6 +46,15 @@ def test_finite_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_canon_rejects_non_integer_map(tmp_path, capsys):
+    s = write_json(tmp_path, "s.json", {"n": 2, "map": [0, 1.7]})
+    code, report = run(capsys, ["canon", s])
+    assert code == 2
+    assert report is None
+    s = write_json(tmp_path, "n.json", {"n": 2.0, "map": [0, 1]})
+    assert run(capsys, ["canon", s])[0] == 2
+
+
 def test_canon(tmp_path, capsys):
     s = write_json(tmp_path, "s.json", {"n": 3, "map": [0, 0, 1]})
     code, report = run(capsys, ["canon", s])
@@ -102,6 +111,15 @@ def test_disk_classify_precondition(tmp_path, capsys):
     assert code == 3
 
 
+def test_disk_classify_rejects_pole_inside_disk(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", {"matrix": [
+        [0.861339, -2.808223], [2.863657, 0.496038],
+        [-4.911719, -2.15325], [1.602235, -4.763671]]})
+    code, report = run(capsys, ["disk", "classify", m])
+    assert code == 3
+    assert report is None
+
+
 def test_disk_conjugate(tmp_path, capsys):
     c = [0.6, 0.8]
     m1 = write_json(tmp_path, "m1.json", {"preset": "rotation", "c": c})
@@ -156,6 +174,14 @@ def test_verify_suite_quick_deterministic(capsys):
     report = json.loads(out1)
     assert report["passed"] is True
     assert validate_report(report)
+
+
+def test_verify_suite_quick_honours_oracle_pairs(capsys):
+    code = main(["verify-suite", "--quick", "--oracle-pairs", "50"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    oracle = [c for c in report["checks"] if c["name"] == "conjugacy_oracle"]
+    assert oracle[0]["cases"] == 50
 
 
 def test_conj_seed_env(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conjalg.diskmaps import (
     KIND_ELLIPTIC_AUTO,
@@ -11,9 +12,11 @@ from conjalg.diskmaps import (
     KIND_IDENTITY,
     KIND_NONELLIPTIC_NONAUTO,
     KIND_PARABOLIC,
+    TOL,
     VERDICT_CONJUGATE,
     VERDICT_INVERSE,
     VERDICT_NOT_ISOMORPHIC,
+    MobiusError,
     MobiusMap,
     NotDecidableError,
     NotDiskMapError,
@@ -36,6 +39,9 @@ from conjalg.verify import random_disk_automorphism, random_elliptic_mobius
 
 ETA1 = MobiusMap(1, -0.5, -0.5, 1)   # (z - 1/2)/(1 - z/2)
 ETA2 = MobiusMap(1, -0.25, -0.25, 1)
+# its pole -d/c lies inside the disk at |z| = 0.937
+POLE_REPRODUCER = {"matrix": [[0.861339, -2.808223], [2.863657, 0.496038],
+                              [-4.911719, -2.15325], [1.602235, -4.763671]]}
 
 
 def conj(g, m):
@@ -75,6 +81,69 @@ def test_disk_predicates():
     assert maps_disk_to_disk(MobiusMap.dilation(0.5))
     assert not is_disk_automorphism(MobiusMap.dilation(0.5))
     assert not maps_disk_to_disk(MobiusMap.dilation(2.0))
+
+
+@pytest.mark.parametrize("m", [
+    MobiusMap.from_json(POLE_REPRODUCER),
+    MobiusMap(0, 2.2250738585072014e-308j, 4j, 0),  # |c|^2 overflows once det is one
+])
+def test_classify_rejects_pole_inside_disk(m):
+    assert abs(m.d) < abs(m.c)
+    assert not maps_disk_to_disk(m)
+    with pytest.raises(NotDiskMapError):
+        classify(m)
+
+
+coords = st.floats(-5, 5)
+complexes = st.builds(complex, coords, coords)
+angles = st.floats(0, 2 * math.pi)
+
+
+def mobius_or_skip(*coeffs):
+    try:
+        return MobiusMap(*coeffs)
+    except MobiusError:  # singular
+        assume(False)
+
+
+@given(complexes, complexes, complexes, st.floats(0, 1), angles)
+def test_pole_in_closed_disk_is_rejected(a, b, c, t, theta):
+    m = mobius_or_skip(a, b, c, t * c * cmath.exp(1j * theta))
+    assume(abs(m.d) <= abs(m.c))
+    assert not maps_disk_to_disk(m)
+    assert not is_disk_automorphism(m)
+
+
+@st.composite
+def near_disk_maps(draw):
+    """rho * g(z) + c0 for a disk automorphism g: |c0| + rho runs up to 1.01."""
+    g = mobius_compose(
+        MobiusMap.rotation(cmath.exp(1j * draw(angles))),
+        MobiusMap.blaschke(draw(st.floats(0, 0.95)) * cmath.exp(1j * draw(angles))),
+    )
+    rho = draw(st.floats(1e-3, 1.0))
+    c0 = draw(st.floats(0, 1.01 - rho)) * cmath.exp(1j * draw(angles))
+    return mobius_compose(MobiusMap(rho, c0, 0, 1), g)
+
+
+CIRCLE = np.exp(2j * math.pi * np.arange(720) / 720)
+SAMPLES = np.array(disk_samples(1000))
+
+
+@given(st.one_of(near_disk_maps(), st.builds(mobius_or_skip, complexes, complexes,
+                                             complexes, complexes)))
+def test_admitted_maps_stay_in_disk_on_samples(m):
+    assume(maps_disk_to_disk(m))
+    for pts in (CIRCLE, SAMPLES):
+        assert np.max(np.abs((m.a * pts + m.b) / (m.c * pts + m.d))) <= 1 + TOL
+
+
+def test_random_automorphisms_pass_closed_form():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        g = random_disk_automorphism(rng)
+        assert is_disk_automorphism(g)
+        assert maps_disk_to_disk(g)
 
 
 def test_classify_rotation():
