@@ -90,7 +90,7 @@ def cmd_finite(args):
 
 def cmd_canon(args):
     sys_ = _load_system(args.system)
-    return {"command": "canon", "canonical_form": dynsys.canonical_form(sys_)}
+    return {"command": "canon", "canonical_form": dynsys.canonical_form(sys_), "format": 2}
 
 
 def cmd_char_space(args):

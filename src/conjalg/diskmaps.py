@@ -447,7 +447,8 @@ def _conjugate(m1: MobiusMap, cl1: DiskClassification,
         return _halfplane_witness(m1, m2, cl1, cl2, (B2 / B1).real, 0.0)
     if len(cl1.fixed_points) == 1:  # parabolic-type contraction
         return _halfplane_witness(m1, m2, cl1, cl2, abs(B2) / abs(B1), 0.0)
-    a = B2.imag / B1.imag
+    # B is real only within TOL of an automorphism, where a translation suffices
+    a = B2.imag / B1.imag if min(abs(B1.imag), abs(B2.imag)) > TOL else 1.0
     b = ((B2 - a * B1) / (1 - A1)).real
     return _halfplane_witness(m1, m2, cl1, cl2, a, b)
 

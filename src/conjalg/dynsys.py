@@ -1,16 +1,16 @@
 """Finite dynamical systems and exact conjugacy decision.
 
 A finite system is a set {0, ..., n-1} together with a self-map given as a
-table.  Conjugacy of two systems is decided through a canonical form built
-from the cycle structure and AHU-style encodings of the rooted in-trees
-hanging off each cycle point.
+table.  Conjugacy of two systems is decided from the cycle structure and
+integer AHU labels (Aho, Hopcroft and Ullman) of the rooted in-trees
+hanging off each cycle point, computed in one pass without recursion.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,11 +50,6 @@ class FiniteDynSys:
     def apply(self, i: int) -> int:
         return self.map[i]
 
-    def iterate(self, i: int, k: int) -> int:
-        for _ in range(k):
-            i = self.map[i]
-        return i
-
     @classmethod
     def from_json(cls, obj) -> "FiniteDynSys":
         if not isinstance(obj, dict) or "n" not in obj or "map" not in obj:
@@ -74,29 +69,31 @@ class ConjugacyWitness:
     bijection: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bijection", tuple(int(v) for v in self.bijection))
-        sigma = self.bijection
-        n = self.source.n
-        if self.target.n != n or sorted(sigma) != list(range(n)):
-            raise SystemError_("witness is not a bijection of the right size")
-        for i in range(n):
-            if sigma[self.source.map[i]] != self.target.map[sigma[i]]:
-                raise SystemError_("witness does not intertwine the two maps")
+        sigma = _permutation(self.bijection, self.source.n)
+        object.__setattr__(self, "bijection", sigma)
+        # sigma . eta1 = eta2 . sigma exactly when eta2 = sigma . eta1 . sigma^-1
+        if relabel(self.source, sigma) != self.target:
+            raise SystemError_("witness does not intertwine the two maps")
 
-    def inverse_table(self) -> tuple:
-        inv = [0] * self.source.n
-        for i, v in enumerate(self.bijection):
-            inv[v] = i
-        return tuple(inv)
+
+def _permutation(sigma, n: int) -> tuple:
+    """sigma as a tuple of ints; SystemError_ unless it permutes range(n)."""
+    sigma = FiniteDynSys(n, sigma).map  # n integers in range(n), or SystemError_
+    if len(set(sigma)) != n:
+        raise SystemError_("not a permutation of range(%d)" % n)
+    return sigma
 
 
 @dataclass(frozen=True)
 class OrbitStructure:
-    """Cycles plus, for every cycle point, its canonical in-tree encoding."""
+    """Cycles and in-trees of a system with integer AHU tree labels, ranked by
+    height and then by sorted child labels: systems are conjugate iff their
+    `shapes` and `keys` are equal."""
 
-    cycles: tuple                 # tuple of cycles, each a tuple of points
-    tree_encodings: dict = field(compare=False)   # point on a cycle -> encoding
-    tree_children: dict = field(compare=False)    # point -> tuple of non-cycle preds
+    cycles: tuple         # cycles sorted by key, each started at its least rotation
+    keys: tuple           # per cycle: (length, labels of its points in cycle order)
+    shapes: tuple         # label -> sorted child labels of a tree with that label
+    tree_children: tuple  # point -> its non-cycle preimages, sorted by label
 
 
 def fixed_points(sys: FiniteDynSys) -> set:
@@ -105,117 +102,118 @@ def fixed_points(sys: FiniteDynSys) -> set:
 
 
 def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
-    """Split the functional graph into cycles and rooted in-trees.
-
-    Cycles are ordered by their smallest element and rotated to start at it.
-    """
-    n = sys.n
+    """Split the functional graph into cycles and rooted in-trees, in one
+    pass without recursion."""
+    n, f = sys.n, sys.map
     indeg = [0] * n
-    for v in sys.map:
+    for v in f:
         indeg[v] += 1
-    # peel leaves; whatever survives lies on a cycle
-    stack = [i for i in range(n) if indeg[i] == 0]
-    alive = [True] * n
-    while stack:
-        i = stack.pop()
-        alive[i] = False
-        j = sys.map[i]
+    # peel leaves; a point joins `order` once all its preimages have, and
+    # whatever never joins lies on a cycle
+    order = [i for i in range(n) if indeg[i] == 0]
+    height = [0] * n
+    children = [[] for _ in range(n)]
+    for i in order:  # grows while it is read
+        j = f[i]
+        children[j].append(i)
+        if height[j] <= height[i]:
+            height[j] = height[i] + 1
         indeg[j] -= 1
         if indeg[j] == 0:
-            stack.append(j)
-    on_cycle = alive
+            order.append(j)
 
-    seen = [False] * n
+    label = [0] * n
+    shapes = []
+    by_height = sorted(range(n), key=height.__getitem__)
+    for _, level in itertools.groupby(by_height, height.__getitem__):
+        # every child sits lower, so its label is final
+        shape = {i: tuple(sorted([label[c] for c in children[i]])) for i in level}
+        rank = {s: k for k, s in enumerate(sorted(set(shape.values())), len(shapes))}
+        shapes.extend(rank)
+        for i, s in shape.items():
+            label[i] = rank[s]
+
     cycles = []
     for i in range(n):
-        if on_cycle[i] and not seen[i]:
+        if indeg[i]:  # on a cycle and not yet walked
             cyc = []
             j = i
-            while not seen[j]:
-                seen[j] = True
+            while indeg[j]:
+                indeg[j] = 0
                 cyc.append(j)
-                j = sys.map[j]
-            m = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[m:] + cyc[:m]))
-    cycles.sort(key=lambda c: c[0])
-
-    children = {i: [] for i in range(n)}
-    for i in range(n):
-        if not on_cycle[i]:
-            children[sys.map[i]].append(i)
-
-    enc = {}
-
-    def encode(v):
-        if v not in enc:
-            enc[v] = "(" + "".join(sorted(encode(c) for c in children[v])) + ")"
-        return enc[v]
-
-    tree_encodings = {}
-    for cyc in cycles:
-        for p in cyc:
-            tree_encodings[p] = encode(p)
+                j = f[j]
+            labels = [label[p] for p in cyc]
+            k = _least_rotation(labels)
+            cycles.append(((len(cyc), tuple(labels[k:] + labels[:k])), tuple(cyc[k:] + cyc[:k])))
+    keys, cycles = zip(*sorted(cycles))
     return OrbitStructure(
-        cycles=tuple(cycles),
-        tree_encodings=tree_encodings,
-        tree_children={i: tuple(sorted(c, key=lambda v: enc.get(v, encode(v))))
-                       for i, c in children.items()},
+        cycles=cycles,
+        keys=keys,
+        shapes=tuple(shapes),
+        tree_children=tuple(tuple(sorted(c, key=label.__getitem__)) for c in children),
     )
 
 
-def _min_rotation(seq):
-    """Index of the lexicographically least rotation of seq."""
-    best = 0
-    for k in range(1, len(seq)):
-        if seq[k:] + seq[:k] < seq[best:] + seq[:best]:
-            best = k
-    return best
-
-
-def _cycle_key(orbit: OrbitStructure, cyc):
-    encs = [orbit.tree_encodings[p] for p in cyc]
-    k = _min_rotation(encs)
-    return (len(cyc), tuple(encs[k:] + encs[:k]))
+def _least_rotation(seq) -> int:
+    """Start of the least rotation of seq, by the linear two-pointer scan: when
+    the rotations from i and j agree for k steps and then differ, no rotation
+    from the larger one's start to k steps past it is least."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def canonical_form(sys: FiniteDynSys) -> str:
-    """A complete conjugacy invariant: equal strings iff conjugate systems."""
+    """A complete conjugacy invariant: equal strings iff conjugate systems.
+
+    Cycles appear in key order as `length:tree|tree|...`, joined by `;`; a
+    tree is `(` its children's trees in label order `)`.
+    """
     orbit = orbit_structure(sys)
-    keys = sorted(_cycle_key(orbit, c) for c in orbit.cycles)
-    return ";".join("%d:%s" % (length, "|".join(encs)) for length, encs in keys)
 
+    def tree(root):
+        out, stack = [], [root]  # labels to open; -1 closes the innermost open tree
+        while stack:
+            x = stack.pop()
+            out.append("(" if x >= 0 else ")")
+            if x >= 0:
+                stack.append(-1)
+                stack.extend(reversed(orbit.shapes[x]))
+        return "".join(out)
 
-def _match_tree(a_orbit, b_orbit, ra, rb, sigma):
-    """Extend sigma by an isomorphism of the in-trees rooted at ra and rb."""
-    sigma[ra] = rb
-    ca = a_orbit.tree_children[ra]
-    cb = b_orbit.tree_children[rb]
-    # children are pre-sorted by encoding, so equal multisets pair up in order
-    for x, y in zip(ca, cb):
-        _match_tree(a_orbit, b_orbit, x, y, sigma)
+    return ";".join("%d:%s" % (length, "|".join(map(tree, labels)))
+                    for length, labels in orbit.keys)
 
 
 def are_conjugate(a: FiniteDynSys, b: FiniteDynSys):
     """Decide conjugacy; on success return an explicit witness bijection."""
-    if a.n != b.n or canonical_form(a) != canonical_form(b):
+    if a.n != b.n:
         return None
     a_orbit = orbit_structure(a)
     b_orbit = orbit_structure(b)
-    a_cycles = sorted(a_orbit.cycles, key=lambda c: _cycle_key(a_orbit, c))
-    b_cycles = sorted(b_orbit.cycles, key=lambda c: _cycle_key(b_orbit, c))
-    sigma = {}
-    for ca, cb in zip(a_cycles, b_cycles):
-        encs_a = [a_orbit.tree_encodings[p] for p in ca]
-        encs_b = [b_orbit.tree_encodings[p] for p in cb]
-        ka = _min_rotation(encs_a)
-        kb = _min_rotation(encs_b)
-        L = len(ca)
-        for j in range(L):
-            pa = ca[(ka + j) % L]
-            pb = cb[(kb + j) % L]
-            _match_tree(a_orbit, b_orbit, pa, pb, sigma)
-    table = tuple(sigma[i] for i in range(a.n))
-    return ConjugacyWitness(a, b, table)
+    if a_orbit.shapes != b_orbit.shapes or a_orbit.keys != b_orbit.keys:
+        return None
+    # equal keys pair the cycles point by point; children are sorted by
+    # label, so equal multisets pair up in order
+    stack = [pair for ca, cb in zip(a_orbit.cycles, b_orbit.cycles) for pair in zip(ca, cb)]
+    sigma = [0] * a.n
+    while stack:
+        x, y = stack.pop()
+        sigma[x] = y
+        stack.extend(zip(a_orbit.tree_children[x], b_orbit.tree_children[y]))
+    return ConjugacyWitness(a, b, sigma)
 
 
 @lru_cache(maxsize=None)
@@ -236,13 +234,13 @@ def brute_force_conjugate(a: FiniteDynSys, b: FiniteDynSys):
     idx = np.flatnonzero(ok)
     if idx.size == 0:
         return None
-    return ConjugacyWitness(a, b, tuple(int(v) for v in perms[idx[0]]))
+    return ConjugacyWitness(a, b, perms[idx[0]])
 
 
 def relabel(sys: FiniteDynSys, sigma) -> FiniteDynSys:
     """The conjugate system sigma . eta . sigma^{-1}."""
-    sigma = tuple(int(v) for v in sigma)
-    inv = [0] * sys.n
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return FiniteDynSys(sys.n, tuple(sigma[sys.map[inv[i]]] for i in range(sys.n)))
+    sigma = _permutation(sigma, sys.n)
+    table = [0] * sys.n
+    for i, v in enumerate(sys.map):
+        table[sigma[i]] = sigma[v]
+    return FiniteDynSys(sys.n, table)

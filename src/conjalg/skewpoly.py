@@ -180,5 +180,5 @@ def transport(p: SkewPoly, w: ConjugacyWitness, target: FiniteDynSys) -> SkewPol
     """Push p along a conjugacy witness: each f_k becomes f_k o sigma^{-1}."""
     if w.source != p.system or w.target != target:
         raise InvalidWitnessError("witness does not relate the given systems")
-    inv = np.array(w.inverse_table())
+    inv = np.argsort(w.bijection)  # the inverse permutation
     return SkewPoly.make(target, [np.asarray(c)[inv] for c in p.coeffs])

@@ -1,11 +1,19 @@
 import json
 
+import numpy as np
 import pytest
 
 from conjalg.cli import main, validate_report
 from conjalg.diskmaps import MobiusMap
-from conjalg.dynsys import FiniteDynSys
+from conjalg.dynsys import ConjugacyWitness, FiniteDynSys, relabel
 from conjalg.skewpoly import SkewPoly
+
+
+# classified as a non-automorphism, though within 1e-9 of a hyperbolic
+# automorphism: both fixed points lie in the boundary band
+NEAR_AUTOMORPHISM = {"matrix": [[0.8431568420118366, 0.537667685256076],
+                                [0.667117203048414, 0.1698644347189945],
+                                [0.6538150512198956, 0.21546500188555823], [1, 0]]}
 
 
 def write_json(tmp_path, name, obj):
@@ -60,6 +68,19 @@ def test_canon(tmp_path, capsys):
     code, report = run(capsys, ["canon", s])
     assert code == 0
     assert report["canonical_form"] == "1:((()))"
+    assert report["format"] == 2
+
+
+def test_finite_long_path(tmp_path, capsys):
+    n = 1000
+    a = FiniteDynSys(n, [0] + list(range(n - 1)))
+    b = relabel(a, np.random.default_rng(0).permutation(n))
+    pa = write_json(tmp_path, "a.json", a.to_json())
+    pb = write_json(tmp_path, "b.json", b.to_json())
+    code, report = run(capsys, ["finite", pa, pb])
+    assert code == 0
+    assert report["conjugate"] is True
+    ConjugacyWitness(a, b, report["witness"])  # raises unless it intertwines
 
 
 def test_char_space(tmp_path, capsys):
@@ -143,6 +164,17 @@ def test_disk_iso(tmp_path, capsys):
     code, report = run(capsys, ["disk", "iso", m1, m2])
     assert code == 0
     assert report["verdict"] == "InverseConjugate"
+
+
+def test_disk_near_automorphism_against_itself(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", NEAR_AUTOMORPHISM)
+    code, report = run(capsys, ["disk", "iso", m, m])
+    assert code == 0
+    assert report["verdict"] == "Conjugate"
+    code, report = run(capsys, ["disk", "conjugate", m, m])
+    assert code == 0
+    assert report["conjugate"] is True
+    assert report["max_deviation"] <= 1e-10
 
 
 def test_disk_verify_witness(tmp_path, capsys):

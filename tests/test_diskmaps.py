@@ -16,6 +16,7 @@ from conjalg.diskmaps import (
     VERDICT_CONJUGATE,
     VERDICT_INVERSE,
     VERDICT_NOT_ISOMORPHIC,
+    WITNESS_TOL,
     MobiusError,
     MobiusMap,
     NotDecidableError,
@@ -296,6 +297,21 @@ def test_verdict_elliptic_nonauto_no_inverse_branch():
 def test_verdict_same_map():
     for m in (ETA1, MobiusMap.dilation(0.5), MobiusMap.identity()):
         assert semicrossed_iso_verdict(m, m)[0] == VERDICT_CONJUGATE
+
+
+def test_verdict_same_map_with_real_halfplane_form():
+    # within 1e-9 of a hyperbolic automorphism, so its half-plane form
+    # w -> A w + B has a real B; this divided by Im B = 0
+    m = MobiusMap(complex(0.8431568420118366, 0.537667685256076),
+                  complex(0.667117203048414, 0.1698644347189945),
+                  complex(0.6538150512198956, 0.21546500188555823), 1)
+    cl = classify(m)
+    assert cl.kind == KIND_NONELLIPTIC_NONAUTO
+    assert [loc for _, loc in cl.fixed_points] == ["boundary", "boundary"]
+    verdict, w = semicrossed_iso_verdict(m, m)
+    assert verdict == VERDICT_CONJUGATE
+    assert verify_conjugacy_witness(w, m, m, disk_samples(1000, seed=3)) <= WITNESS_TOL
+    assert analytically_conjugate(m, m) is not None
 
 
 def test_radial_square_witness():

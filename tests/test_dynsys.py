@@ -7,6 +7,7 @@ from conjalg.dynsys import (
     ConjugacyWitness,
     FiniteDynSys,
     OracleSizeError,
+    SystemError_,
     are_conjugate,
     brute_force_conjugate,
     canonical_form,
@@ -138,6 +139,64 @@ def test_witness_maps_fixed_points_to_fixed_points():
         fa = fixed_points(a)
         fb = fixed_points(b)
         assert {w.bijection[i] for i in fa} == fb
+
+
+@pytest.mark.parametrize("sigma", [(0, 0, 1), (0.7, 1.2, 2.9), (0, 1, 3), (0, 1), (1, 2, 0, 3)])
+def test_relabel_and_witness_reject_non_permutations(sigma):
+    a = FiniteDynSys(3, (1, 2, 0))
+    with pytest.raises(SystemError_):
+        relabel(a, sigma)
+    with pytest.raises(SystemError_):
+        ConjugacyWitness(a, a, sigma)
+
+
+def test_relabel_accepts_numpy_integers():
+    a = FiniteDynSys(3, (1, 2, 2))
+    assert relabel(a, np.array([2, 0, 1])) == relabel(a, (2, 0, 1)) == FiniteDynSys(3, (1, 1, 0))
+
+
+@given(systems(max_n=6), st.data())
+def test_canonical_form_equal_iff_oracle_conjugate(a, data):
+    b = data.draw(st.one_of(
+        st.permutations(range(a.n)).map(lambda s: relabel(a, s)),
+        st.tuples(*[st.integers(0, a.n - 1)] * a.n).map(lambda t: FiniteDynSys(a.n, t)),
+    ))
+    assert (canonical_form(a) == canonical_form(b)) == (brute_force_conjugate(a, b) is not None)
+
+
+SCALE = 10 ** 5
+
+
+def broom(n, rng):
+    """A path n/2 - 1 -> ... -> 1 -> 0, with 0 fixed, and a leg from every
+    later point i to a random point in 1..i-1, so the tree is ~n/2 levels tall."""
+    legs = rng.integers(1, np.arange(n // 2, n))
+    return [0] + list(range(n // 2 - 1)) + [int(v) for v in legs]
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle", "broom"])
+def test_scale_relabel_gives_witness_and_equal_forms(shape):
+    rng = np.random.default_rng(3)
+    table = {
+        "path": [0] + list(range(SCALE - 1)),
+        "cycle": [(i + 1) % SCALE for i in range(SCALE)],
+        "broom": broom(SCALE, rng),
+    }[shape]
+    a = FiniteDynSys(SCALE, table)
+    b = relabel(a, rng.permutation(SCALE))
+    assert are_conjugate(a, b) is not None  # witness checked in its constructor
+    assert canonical_form(a) == canonical_form(b)
+
+
+def test_scale_broom_variant_not_conjugate():
+    rng = np.random.default_rng(4)
+    table = broom(SCALE, rng)
+    variant = list(table)
+    # the last point is a leaf at distance >= 2 from the fixed point 0; moving
+    # it to distance 1 changes the multiset of distances, a conjugacy invariant
+    variant[-1] = 0
+    a = FiniteDynSys(SCALE, table)
+    assert are_conjugate(a, relabel(FiniteDynSys(SCALE, variant), rng.permutation(SCALE))) is None
 
 
 def test_json_roundtrip():
