@@ -42,8 +42,23 @@ class NotDecidableError(MobiusError):
     """Conjugacy of non-Mobius elliptic homeomorphisms is not decided here."""
 
 
+def _exponent(w: complex) -> int:
+    return math.frexp(max(abs(w.real), abs(w.imag)))[1]
+
+
 def _normalize(a, b, c, d):
     det = a * d - b * c
+    if not 2.0 ** -500 < abs(det.real) + abs(det.imag) < 2.0 ** 500:
+        # ad - bc over- or underflowed, or came near to: divide through by a
+        # power of two near sqrt(max(|ad|, |bc|)) and form it again.  Such
+        # scaling is exact, so a determinant in range would come out the same.
+        # (Scaling by the largest entry instead would underflow the small
+        # entry of a map such as (1e-200, 0, 0, 1e200).)
+        k = max((_exponent(w) + _exponent(z) for w, z in ((a, d), (b, c)) if w and z),
+                default=0) // 2
+        a, b, c, d = (complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k))
+                      for w in (a, b, c, d))
+        det = a * d - b * c
     if det == 0:
         raise MobiusError("matrix is singular")
     s = cmath.sqrt(det)

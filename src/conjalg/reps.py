@@ -11,6 +11,7 @@ Two families live here:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .charspace import Character
 from .dynsys import FiniteDynSys
-from .skewpoly import SkewPoly, SystemMismatchError, skew_mul
+from .skewpoly import SkewPoly, SystemMismatchError
 
 DEFAULT_TRUNC = 64
 
@@ -80,17 +81,12 @@ def rep_matrix(rep: TruncatedRep, p: SkewPoly) -> np.ndarray:
             % (p.degree, N),
             stacklevel=2,
         )
-    orbit = rep.orbit()
+    orbit = np.array(rep.orbit())
+    rows = np.arange(N)
     M = np.zeros((N, N), dtype=complex)
-    for k, f in enumerate(p.coeffs):
-        if k >= N:
-            break
-        for i in range(N - k):
-            if rep.convention == "backward":
-                M[i, i + k] = f[orbit[i]]
-            else:
-                M[i + k, i] = f[orbit[i]]
-    return M
+    for k, f in enumerate(p.coeffs[:N]):
+        M[rows[:N - k], rows[k:]] = f[orbit[:N - k]]
+    return M if rep.convention == "backward" else M.T
 
 
 def operator_norm(M: np.ndarray) -> float:
@@ -109,18 +105,47 @@ def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, points=None,
     return best
 
 
+def _rescaled(A: np.ndarray, log_scale: float):
+    """(A / t, log_scale + log t) with t the largest |entry| of A, if A != 0."""
+    top = float(np.abs(A).max())
+    return (A / top, log_scale + math.log(top)) if top else (A, log_scale)
+
+
+def _scaled_power(M: np.ndarray, n: int):
+    """M^n as (R, s) with M^n = e^s R, by repeated squaring; R is None if n = 0.
+
+    Every factor and product is divided by its largest entry, whose log is
+    carried in s, so no power overflows or underflows.
+    """
+    R, s = None, 0.0
+    B, t = _rescaled(M, 0.0)
+    while n:
+        if n & 1:
+            R, s = (B, t) if R is None else _rescaled(R @ B, s + t)
+        n >>= 1
+        if n:
+            B, t = _rescaled(B @ B, 2 * t)
+    return R, s
+
+
 def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC, points=None,
                              convention: str = "backward") -> float:
-    """max_{n <= N} ||pi(u^n)||^{1/n}, computed at truncation N + 1."""
+    """Gelfand's value max_x ||pi_x(u^N)||^(1/N), computed at truncation N + 1.
+
+    The truncated image is the top-left corner of a triangular operator, so
+    it is multiplicative: pi(u^N) = pi(u)^N at truncation N + 1.  Each base
+    point takes one matrix, one power by repeated squaring with every
+    product rescaled (O(N^3 log N)), and one SVD.
+    """
     if points is None:
         points = range(u.system.n)
-    reps = [TruncatedRep(u.system, x, N + 1, convention) for x in points]
     best = 0.0
-    power = SkewPoly.one(u.system)
-    for n in range(1, N + 1):
-        power = skew_mul(power, u)
-        nrm = max(operator_norm(rep_matrix(r, power)) for r in reps)
-        best = max(best, nrm ** (1.0 / n))
+    for x in points:
+        M = rep_matrix(TruncatedRep(u.system, x, N + 1, convention), u)
+        R, log_scale = _scaled_power(M, N)
+        nrm = 0.0 if R is None else operator_norm(R)
+        if nrm:
+            best = max(best, math.exp((log_scale + math.log(nrm)) / N))
     return best
 
 

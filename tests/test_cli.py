@@ -141,6 +141,13 @@ def test_disk_classify_rejects_pole_inside_disk(tmp_path, capsys):
     assert report is None
 
 
+def test_disk_classify_huge_scale_identity(tmp_path, capsys):
+    m = write_json(tmp_path, "m.json", {"matrix": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]})
+    code, report = run(capsys, ["disk", "classify", m])
+    assert code == 0
+    assert report["kind"] == "identity"
+
+
 def test_disk_conjugate(tmp_path, capsys):
     c = [0.6, 0.8]
     m1 = write_json(tmp_path, "m1.json", {"preset": "rotation", "c": c})

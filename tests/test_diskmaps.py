@@ -166,6 +166,23 @@ def test_classify_identity():
     assert classify(MobiusMap.identity()).kind == KIND_IDENTITY
 
 
+def test_classify_identity_at_huge_scale():
+    # ad - bc of the raw entries overflows
+    assert classify(MobiusMap(1e200, 0, 0, 1e200)).kind == KIND_IDENTITY
+
+
+def test_classify_dilation_at_tiny_scale():
+    # ad - bc of the raw entries underflows to zero
+    cl = classify(MobiusMap(0.5e-200, 0, 0, 1e-200))
+    assert cl.kind == KIND_ELLIPTIC_NONAUTO
+    assert cl.multiplier == pytest.approx(0.5)
+
+
+def test_classify_entries_of_far_apart_scales():
+    # z -> 1e-400 z: scaling by the largest entry would underflow the smallest
+    assert classify(MobiusMap(1e-200, 0, 0, 1e200)).kind == KIND_ELLIPTIC_NONAUTO
+
+
 def test_classify_hyperbolic_blaschke_pair():
     for m in (ETA1, ETA2):
         cl = classify(m)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conjalg.dynsys import FiniteDynSys
 from conjalg.reps import (
@@ -123,6 +126,72 @@ def test_spectral_radius_unit_and_weighted():
     assert spectral_radius_estimate(w, 16) == pytest.approx(0.5)
     one_pt = FiniteDynSys(1, (0,))
     assert spectral_radius_estimate(SkewPoly.shift(one_pt, 2.0), 16) == pytest.approx(2.0)
+
+
+def cycle_rho(table, mags):
+    """Largest geometric mean of mags around a cycle of the map."""
+    best = 0.0
+    for x in range(len(table)):
+        for _ in range(len(table)):
+            x = table[x]
+        cycle = [x]
+        while table[cycle[-1]] != x:
+            cycle.append(table[cycle[-1]])
+        best = max(best, math.exp(np.mean(np.log(mags[cycle]))))
+    return best
+
+
+@st.composite
+def weighted_shifts(draw):
+    """(table, f) of a random monomial f U on at most 6 points."""
+    n = draw(st.integers(1, 6))
+    table = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    mags = draw(st.lists(st.floats(0.1, 10), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0, 2 * math.pi), min_size=n, max_size=n))
+    return table, np.array(mags) * np.exp(1j * np.array(phases))
+
+
+@settings(deadline=None)  # values are under test here, not timings
+@given(weighted_shifts(), st.integers(16, 64))
+def test_spectral_radius_within_cycle_oracle_band(shift, N):
+    # Any N steps along an orbit spend all but fewer than n of them going
+    # round one cycle, so the estimate lies within this band around rho.
+    table, f = shift
+    sys = FiniteDynSys(len(table), table)
+    mags = np.abs(f)
+    rho = cycle_rho(table, mags)
+    est = spectral_radius_estimate(SkewPoly.monomial(sys, f, 1), N)
+    lo = rho * (mags.min() / rho) ** (sys.n / N)
+    hi = rho * (mags.max() / rho) ** (sys.n / N)
+    assert lo * (1 - 1e-9) <= est <= hi * (1 + 1e-9)
+
+
+def test_spectral_radius_is_not_the_norm():
+    # u^2 = U^2 on the 2-cycle, so rho = 1 although ||pi(u)|| = 2
+    u = SkewPoly.monomial(SWAP, [2.0, 0.5], 1)
+    assert spectral_radius_estimate(u, 64) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [1e3, 1e-3])
+def test_spectral_radius_powers_do_not_overflow(w):
+    u = SkewPoly.shift(FiniteDynSys(1, (0,)), w)
+    assert spectral_radius_estimate(u, 256) == pytest.approx(w, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_spectral_radius_matches_skew_product_power():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        n = int(rng.integers(1, 5))
+        sys = FiniteDynSys(n, tuple(int(v) for v in rng.integers(0, n, n)))
+        u = SkewPoly.make(sys, list(rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))))
+        N = int(rng.integers(1, 13))
+        power = SkewPoly.one(sys)
+        for _ in range(N):
+            power = skew_mul(power, u)
+        want = max(operator_norm(rep_matrix(TruncatedRep(sys, x, N + 1), power))
+                   for x in range(n)) ** (1.0 / N)
+        assert spectral_radius_estimate(u, N) == pytest.approx(want, rel=1e-9)
 
 
 def test_offfixed_rep():
