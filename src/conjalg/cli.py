@@ -58,6 +58,14 @@ def _load_mobius(path) -> MobiusMap:
         raise CliError("bad Mobius map JSON %s: %s" % (path, exc), EXIT_PARSE)
 
 
+def _decide(stage, *maps):
+    """stage(*maps), where any MobiusError exits 3 with the stage's name."""
+    try:
+        return stage(*maps)
+    except diskmaps.MobiusError as exc:
+        raise CliError("%s: %s" % (stage.__name__, exc), EXIT_PRECONDITION)
+
+
 def validate_report(obj) -> bool:
     """Schema check used by the round-trip property: a report is a JSON
     object with a command tag, re-serialisable to the same bytes."""
@@ -125,6 +133,8 @@ def cmd_norms(args):
 
 def cmd_pencil_check(args):
     sys_ = _load_system(args.system)
+    if not 0 <= args.x < sys_.n:
+        raise CliError("base point %d out of range(%d)" % (args.x, sys_.n), EXIT_PARSE)
     z = complex(args.z_re, args.z_im)
     try:
         rep = reps.build_pencil(sys_, args.x, z, args.radius)
@@ -149,11 +159,8 @@ def cmd_pencil_check(args):
 
 def cmd_disk_classify(args):
     m = _load_mobius(args.map)
-    try:
-        cl = diskmaps.classify(m)
-        kind, inv = diskmaps.normal_form(m)
-    except diskmaps.NotDiskMapError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    cl = _decide(diskmaps.classify, m)
+    kind, inv = _decide(diskmaps.normal_form, m)
     report = cl.to_json()
     report["command"] = "disk-classify"
     report["normal_form"] = [
@@ -165,10 +172,7 @@ def cmd_disk_classify(args):
 def cmd_disk_conjugate(args):
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
-    try:
-        w = diskmaps.analytically_conjugate(m1, m2)
-    except diskmaps.NotDiskMapError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    w = _decide(diskmaps.analytically_conjugate, m1, m2)
     report = {"command": "disk-conjugate", "conjugate": w is not None}
     if w is not None:
         report["witness"] = w.to_json()["matrix"]
@@ -180,10 +184,7 @@ def cmd_disk_conjugate(args):
 def cmd_disk_iso(args):
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
-    try:
-        verdict, w = diskmaps.semicrossed_iso_verdict(m1, m2)
-    except diskmaps.NotDiskMapError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
+    verdict, w = _decide(diskmaps.semicrossed_iso_verdict, m1, m2)
     report = {"command": "disk-iso", "verdict": verdict}
     if w is not None:
         report["witness"] = w.to_json()["matrix"]

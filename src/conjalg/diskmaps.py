@@ -362,12 +362,9 @@ def verify_conjugacy_witness(gamma, m1, m2, samples) -> float:
 
     gamma, m1 and m2 may be MobiusMap instances or plain point maps.
     """
-    g = gamma if callable(gamma) else (lambda z: mobius_apply(gamma, z))
-    f1 = m1 if callable(m1) else (lambda z: mobius_apply(m1, z))
-    f2 = m2 if callable(m2) else (lambda z: mobius_apply(m2, z))
     worst = 0.0
     for z in samples:
-        worst = max(worst, abs(g(f1(z)) - f2(g(z))))
+        worst = max(worst, abs(gamma(m1(z)) - m2(gamma(z))))
     return float(worst)
 
 

@@ -26,38 +26,46 @@ class OracleSizeError(ValueError):
     """Raised when brute_force_conjugate is asked for more than 9 points."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteDynSys:
-    """A self-map of {0, ..., n-1} given by its value table."""
+    """A self-map of {0, ..., n-1}: its value table, a read-only int64 array."""
 
     n: int
-    map: tuple
+    map: np.ndarray
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
-            object.__setattr__(self, "map", tuple(map(operator.index, self.map)))
+            n = operator.index(self.n)
         except TypeError as exc:
-            raise SystemError_("n and map entries must be integers: %s" % exc)
-        if self.n < 1:
-            raise SystemError_("system must have at least one point")
-        if len(self.map) != self.n:
-            raise SystemError_("map table length must equal n")
-        for v in self.map:
-            if not 0 <= v < self.n:
-                raise SystemError_("map entry %r out of range" % (v,))
+            raise SystemError_("n must be an integer: %s" % exc)
+        table = np.asarray(self.map)
+        if n < 1 or table.shape != (n,):
+            raise SystemError_("map must be a table of n >= 1 entries")
+        if table.dtype.kind not in "iub":  # floats, strings, None and ints beyond int64 fail
+            raise SystemError_("map entries must be integers, not %s" % table.dtype)
+        table = table.astype(np.int64)  # a copy: the caller keeps their array
+        if table.view(np.uint64).max() >= n:  # a negative entry reads as 2**63 or more
+            raise SystemError_("map entries must lie in range(%d)" % n)
+        table.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "map", table)
 
-    def apply(self, i: int) -> int:
-        return self.map[i]
+    def __eq__(self, other):
+        if not isinstance(other, FiniteDynSys):
+            return NotImplemented
+        return self is other or np.array_equal(self.map, other.map)
+
+    def __hash__(self):
+        return hash(self.map.tobytes())
 
     @classmethod
     def from_json(cls, obj) -> "FiniteDynSys":
         if not isinstance(obj, dict) or "n" not in obj or "map" not in obj:
             raise SystemError_('system JSON must be {"n": int, "map": [...]}')
-        return cls(obj["n"], tuple(obj["map"]))
+        return cls(obj["n"], obj["map"])
 
     def to_json(self):
-        return {"n": self.n, "map": list(self.map)}
+        return {"n": self.n, "map": self.map.tolist()}
 
 
 @dataclass(frozen=True)
@@ -70,16 +78,16 @@ class ConjugacyWitness:
 
     def __post_init__(self):
         sigma = _permutation(self.bijection, self.source.n)
-        object.__setattr__(self, "bijection", sigma)
+        object.__setattr__(self, "bijection", tuple(sigma.tolist()))
         # sigma . eta1 = eta2 . sigma exactly when eta2 = sigma . eta1 . sigma^-1
         if relabel(self.source, sigma) != self.target:
             raise SystemError_("witness does not intertwine the two maps")
 
 
-def _permutation(sigma, n: int) -> tuple:
-    """sigma as a tuple of ints; SystemError_ unless it permutes range(n)."""
+def _permutation(sigma, n: int) -> np.ndarray:
+    """sigma as a read-only int64 array; SystemError_ unless it permutes range(n)."""
     sigma = FiniteDynSys(n, sigma).map  # n integers in range(n), or SystemError_
-    if len(set(sigma)) != n:
+    if np.bincount(sigma, minlength=n).max() > 1:
         raise SystemError_("not a permutation of range(%d)" % n)
     return sigma
 
@@ -98,13 +106,13 @@ class OrbitStructure:
 
 def fixed_points(sys: FiniteDynSys) -> set:
     """Points i with map[i] == i."""
-    return {i for i in range(sys.n) if sys.map[i] == i}
+    return set(np.flatnonzero(sys.map == np.arange(sys.n)).tolist())
 
 
 def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     """Split the functional graph into cycles and rooted in-trees, in one
     pass without recursion."""
-    n, f = sys.n, sys.map
+    n, f = sys.n, sys.map.tolist()  # list indexing beats numpy scalars here
     indeg = [0] * n
     for v in f:
         indeg[v] += 1
@@ -228,19 +236,13 @@ def brute_force_conjugate(a: FiniteDynSys, b: FiniteDynSys):
     if a.n > BRUTE_FORCE_MAX:
         raise OracleSizeError("brute force oracle limited to n <= %d" % BRUTE_FORCE_MAX)
     perms = _perm_array(a.n)
-    map_a = np.array(a.map, dtype=np.int64)
-    map_b = np.array(b.map, dtype=np.int64)
-    ok = np.all(perms[:, map_a] == map_b[perms], axis=1)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
-        return None
-    return ConjugacyWitness(a, b, perms[idx[0]])
+    idx = np.flatnonzero(np.all(perms[:, a.map] == b.map[perms], axis=1))
+    return ConjugacyWitness(a, b, perms[idx[0]]) if idx.size else None
 
 
 def relabel(sys: FiniteDynSys, sigma) -> FiniteDynSys:
     """The conjugate system sigma . eta . sigma^{-1}."""
     sigma = _permutation(sigma, sys.n)
-    table = [0] * sys.n
-    for i, v in enumerate(sys.map):
-        table[sigma[i]] = sigma[v]
+    table = np.empty(sys.n, dtype=np.int64)
+    table[sigma] = sigma[sys.map]
     return FiniteDynSys(sys.n, table)

@@ -58,9 +58,10 @@ class TruncatedRep:
             raise ValueError("convention must be 'backward' or 'forward'")
 
     def orbit(self) -> list:
+        step = memoryview(self.system.map)  # yields Python ints, as fast as a tuple
         out = [self.base_point]
         for _ in range(self.trunc - 1):
-            out.append(self.system.map[out[-1]])
+            out.append(step[out[-1]])
         return out
 
 
@@ -237,12 +238,16 @@ class FixedDerivativeRep:
 
 
 def build_offfixed(sys: FiniteDynSys, x: int) -> OffFixedRep:
+    if not 0 <= x < sys.n:
+        raise ValueError("base point out of range")
     if sys.map[x] == x:
         raise NotOffFixedError("base point must not be fixed")
     return OffFixedRep(sys, x)
 
 
 def build_pencil(sys: FiniteDynSys, x: int, z, radius: float = 1.0) -> PencilRep:
+    if not 0 <= x < sys.n:
+        raise ValueError("base point out of range")
     y = sys.map[x]
     if y == x or sys.map[y] != y:
         raise NotPreperiodicError(

@@ -130,9 +130,8 @@ def skew_scale(c, p: SkewPoly) -> SkewPoly:
 def iterate_table(system: FiniteDynSys, k: int) -> np.ndarray:
     """Index table of eta^{(k)}."""
     t = np.arange(system.n)
-    m = np.array(system.map)
     for _ in range(k):
-        t = m[t]
+        t = system.map[t]
     return t
 
 
@@ -152,13 +151,11 @@ def skew_mul(p: SkewPoly, q: SkewPoly) -> SkewPoly:
     n_pts = p.system.n
     d = p.degree + q.degree
     out = [np.zeros(n_pts, dtype=complex) for _ in range(d + 1)]
-    table = np.arange(n_pts)
-    m = np.array(p.system.map)
+    table = np.arange(n_pts)  # eta^{(k)}
     for k, f in enumerate(p.coeffs):
-        if k > 0:
-            table = m[table]
         for j, g in enumerate(q.coeffs):
-            out[k + j] += f * np.asarray(g)[table]
+            out[k + j] += f * g[table]
+        table = p.system.map[table]
     return SkewPoly.make(p.system, out)
 
 

@@ -25,7 +25,7 @@ DEFAULT_SEED = 20240901
 # generators
 
 def random_system(rng, n: int) -> FiniteDynSys:
-    return FiniteDynSys(n, tuple(int(v) for v in rng.integers(0, n, size=n)))
+    return FiniteDynSys(n, rng.integers(0, n, size=n))
 
 
 def random_permutation(rng, n: int):
@@ -76,11 +76,10 @@ def random_elliptic_mobius(rng) -> MobiusMap:
 def pencil_point(rng, max_n: int = 6):
     """System with a point x satisfying eta(x) != x = fixed eta(x)."""
     n = int(rng.integers(2, max_n + 1))
-    table = [int(v) for v in rng.integers(0, n, size=n)]
+    table = rng.integers(0, n, size=n)
     x, y = rng.choice(n, size=2, replace=False)
-    table[int(y)] = int(y)
-    table[int(x)] = int(y)
-    return FiniteDynSys(n, tuple(table)), int(x)
+    table[[x, y]] = y
+    return FiniteDynSys(n, table), int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +91,9 @@ def term_rewrite_mul(p: SkewPoly, q: SkewPoly) -> SkewPoly:
     out = SkewPoly.zero(sys)
     for k, f in enumerate(p.coeffs):
         for j, g in enumerate(q.coeffs):
-            g = np.array(g)
             for _ in range(k):  # push one U through g at a time
-                g = g[np.array(sys.map)]
-            out = out + SkewPoly.monomial(sys, np.array(f) * g, k + j)
+                g = g[sys.map]
+            out = out + SkewPoly.monomial(sys, f * g, k + j)
     return out
 
 

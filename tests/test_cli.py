@@ -118,6 +118,16 @@ def test_pencil_check_precondition(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("x", ["7", "-3"])
+def test_pencil_check_base_point_out_of_range(tmp_path, capsys, x):
+    s = write_json(tmp_path, "s.json", {"n": 3, "map": [1, 1, 1]})
+    code = main(["pencil-check", s, "--", x])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "out of range" in captured.err and "Traceback" not in captured.err
+
+
 def test_disk_classify(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", {"preset": "blaschke_half"})
     code, report = run(capsys, ["disk", "classify", m])
@@ -182,6 +192,23 @@ def test_disk_near_automorphism_against_itself(tmp_path, capsys):
     assert code == 0
     assert report["conjugate"] is True
     assert report["max_deviation"] <= 1e-10
+
+
+# raises MobiusError("conjugated map does not fix infinity") in the normal form
+NO_HALFPLANE_FORM = {"matrix": [[1.000000011901459, 0.010479098063841915],
+                                [0.009255416342930199, 0.004916561207690128],
+                                [0.009255416345958221, -0.0049165612017815765],
+                                [1.0000000119080983, -0.010479098063841915]]}
+
+
+@pytest.mark.parametrize("command", ["classify", "iso", "conjugate"])
+def test_disk_commands_report_mobius_errors(tmp_path, capsys, command):
+    m = write_json(tmp_path, "m.json", NO_HALFPLANE_FORM)
+    code = main(["disk", command] + [m] * (1 if command == "classify" else 2))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "does not fix infinity" in captured.err and "Traceback" not in captured.err
 
 
 def test_disk_verify_witness(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,10 @@ def test_validation():
         FiniteDynSys(2, (0, 2))
     with pytest.raises(ValueError):
         FiniteDynSys(2, (0,))
+    for table in (np.array([0., 1.]), (0, 1.0), [[0], [1]], (0, 2**70), (0, "1"), (0, None),
+                  (0, -1), np.array([0, 2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(SystemError_):
+            FiniteDynSys(2, table)
 
 
 def test_fixed_points():
@@ -204,3 +210,25 @@ def test_json_roundtrip():
     assert FiniteDynSys.from_json(a.to_json()) == a
     with pytest.raises(ValueError):
         FiniteDynSys.from_json({"n": 3})
+
+
+def test_map_is_a_read_only_int64_array_compared_by_value():
+    source = np.array([1, 2, 0], dtype=np.int32)
+    a = FiniteDynSys(3, source)
+    b = FiniteDynSys(3, (1, 2, 0))
+    assert a == b and hash(a) == hash(b)
+    assert a.map.dtype == np.int64
+    with pytest.raises(ValueError):
+        a.map[0] = 0
+    source[0] = 0  # the system keeps its own copy
+    assert a == b
+    assert a != FiniteDynSys(3, (0, 2, 0))
+    obj = json.loads(json.dumps(a.to_json()))
+    assert obj == {"n": 3, "map": [1, 2, 0]}
+    assert all(type(v) is int for v in a.to_json()["map"])
+    w = are_conjugate(a, relabel(a, np.array([2, 0, 1])))
+    assert type(w.bijection) is tuple and all(type(v) is int for v in w.bijection)
+    rng = np.random.default_rng(0)
+    c, sigma = FiniteDynSys(50, rng.integers(0, 50, size=50)), rng.permutation(50)
+    d = relabel(c, sigma)
+    assert all(d.map[sigma[i]] == sigma[c.map[i]] for i in range(50))  # point by point

@@ -227,6 +227,14 @@ def test_pencil_shift_matrix_and_guards():
         build_pencil(CHAIN, 1, 1.0)
 
 
+@pytest.mark.parametrize("x", [-1, 3])
+def test_base_point_out_of_range(x):
+    with pytest.raises(ValueError, match="base point out of range"):
+        build_offfixed(CHAIN, x)
+    with pytest.raises(ValueError, match="base point out of range"):
+        build_pencil(CHAIN, x, 0.5)
+
+
 def test_pencil_homomorphism():
     rng = np.random.default_rng(4)
     for _ in range(100):
