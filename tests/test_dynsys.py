@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_fixed_points():
 def test_orbit_structure_identity():
     o = orbit_structure(FiniteDynSys(2, (0, 1)))
     assert o.cycles == ((0,), (1,))
-    assert all(o.tree_children[p] == () for p in (0, 1))
+    assert all(o.children_of(p) == () for p in (0, 1))
 
 
 def test_orbit_structure_swap():
@@ -61,8 +62,8 @@ def test_orbit_structure_chain():
     # 2 -> 1 -> 0 with 0 fixed
     o = orbit_structure(FiniteDynSys(3, (0, 0, 1)))
     assert o.cycles == ((0,),)
-    assert o.tree_children[0] == (1,)
-    assert o.tree_children[1] == (2,)
+    assert o.children_of(0) == (1,)
+    assert o.children_of(1) == (2,)
 
 
 def test_canonical_form_trivial():
@@ -180,13 +181,26 @@ def broom(n, rng):
     return [0] + list(range(n // 2 - 1)) + [int(v) for v in legs]
 
 
-@pytest.mark.parametrize("shape", ["path", "cycle", "broom"])
+def star(n, rng):
+    """A fixed centre 0 with sqrt(n) hubs; every other point goes to the centre
+    with probability 1/2, else to a random hub, so the two lowest levels are wide."""
+    k = int(np.sqrt(n))
+    table = np.zeros(n, dtype=np.int64)
+    rest = n - k - 1
+    table[k + 1:] = np.where(rng.random(rest) < 0.5, 0, rng.integers(1, k + 1, rest))
+    return table
+
+
+@pytest.mark.parametrize("shape", ["path", "cycle", "broom", "star", "random"])
 def test_scale_relabel_gives_witness_and_equal_forms(shape):
     rng = np.random.default_rng(3)
     table = {
         "path": [0] + list(range(SCALE - 1)),
         "cycle": [(i + 1) % SCALE for i in range(SCALE)],
         "broom": broom(SCALE, rng),
+        # drawn only for their own case, so the cases above keep their draws
+        "star": star(SCALE, rng) if shape == "star" else None,
+        "random": rng.integers(0, SCALE, SCALE) if shape == "random" else None,
     }[shape]
     a = FiniteDynSys(SCALE, table)
     b = relabel(a, rng.permutation(SCALE))
@@ -203,6 +217,59 @@ def test_scale_broom_variant_not_conjugate():
     variant[-1] = 0
     a = FiniteDynSys(SCALE, table)
     assert are_conjugate(a, relabel(FiniteDynSys(SCALE, variant), rng.permutation(SCALE))) is None
+
+
+def _md5(lines):
+    return hashlib.md5("\n".join(lines).encode()).hexdigest()
+
+
+def test_golden_forms_and_witnesses():
+    """Exact output pinned by hashes taken from the list-based implementation
+    that the level-by-level numpy ranking replaced."""
+    rng = np.random.default_rng(0)
+    forms, witnesses = [], []
+    for _ in range(2000):
+        n = rng.integers(1, 9)
+        a = FiniteDynSys(n, rng.integers(0, n, n))
+        b = relabel(a, rng.permutation(n))
+        forms.append(canonical_form(a))
+        witnesses.append(repr(are_conjugate(a, b).bijection))
+    assert _md5(forms) == "1b244b1b15dc28ed2aaa82fb551f1a1c"
+    assert _md5(witnesses) == "2f69975f6d131448c49287062f3af139"
+
+    rng = np.random.default_rng(1)
+    forms, witnesses = [], []
+    for i in range(60):
+        n = int(rng.integers(100, 3001))
+        a = FiniteDynSys(n, rng.integers(0, n, n) if i % 2 else star(n, rng))
+        b = relabel(a, rng.permutation(n))
+        forms.append(canonical_form(a))
+        witnesses.append(repr(are_conjugate(a, b).bijection))
+    assert _md5(forms) == "2633e4e9899f1882051b3cc917d1b645"
+    assert _md5(witnesses) == "82b8cbe06104f2915c2e9b74479e2729"
+
+
+def test_numpy_and_python_levels_agree(monkeypatch):
+    """Every level ranked with numpy, every level in Python, or the default
+    mix: the same orbit structure and the same witness."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    for i in range(210):
+        n = int(rng.integers(4, 300))
+        if i % 3 == 0:
+            table = rng.integers(0, n, n)
+        elif i % 3 == 1:
+            table = star(n, rng)
+        else:
+            table = broom(n, rng)
+        a = FiniteDynSys(n, table)
+        pairs.append((a, relabel(a, rng.permutation(n))))
+    results = []
+    for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
+        monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
+        results.append([(orbit_structure(a), orbit_structure(b), are_conjugate(a, b).bijection)
+                        for a, b in pairs])
+    assert results[0] == results[1] == results[2]
 
 
 def test_json_roundtrip():
