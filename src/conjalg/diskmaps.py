@@ -15,7 +15,7 @@ import numpy as np
 
 # Tolerances; maps are stored with determinant one, so each works on a fixed scale.
 TOL = 1e-9               # coefficient tests: sign, identity, fixed points, image disk
-WITNESS_TOL = 1e-10      # largest |gamma(m1(z)) - m2(gamma(z))| a witness may show
+WITNESS_TOL = 1e-10      # bound on |gamma(m1(z)) - m2(gamma(z))| over the whole closed disk
 WITNESS_AUTO_TOL = 1e-8  # a witness is several compositions deep, so it is checked more loosely
 BOUNDARY_BAND = 1e-6     # a double boundary fixed point splits by ~sqrt(eps) under conjugation
 TRACE_BAND = 1e-7        # |tr^2 - 4| of a double fixed point; the trace is conjugation-stable
@@ -147,9 +147,9 @@ def mobius_derivative(m: MobiusMap, z: complex) -> complex:
     return 1.0 / (den * den)  # det is one
 
 
-def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
-    """The map z -> m1(m2(z))."""
-    return MobiusMap(
+def _product(m1: MobiusMap, m2: MobiusMap):
+    """The matrix product m1 m2 as (a, b, c, d), not normalised."""
+    return (
         m1.a * m2.a + m1.b * m2.c,
         m1.a * m2.b + m1.b * m2.d,
         m1.c * m2.a + m1.d * m2.c,
@@ -157,34 +157,40 @@ def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
     )
 
 
+def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
+    """The map z -> m1(m2(z))."""
+    return MobiusMap(*_product(m1, m2))
+
+
 def mobius_inverse(m: MobiusMap) -> MobiusMap:
     return MobiusMap(m.d, -m.b, -m.c, m.a)
 
 
-def _image_disk(m: MobiusMap):
-    """Centre c0 and radius r of the image of the closed disk, or None when
-    the pole -d/c lies in the closed disk (|d| <= |c|).
+def _image_disk(a, b, c, d):
+    """Centre c0 and radius r of the image of the closed disk under
+    z -> (az + b)/(cz + d) with ad - bc = 1, or None when the pole -d/c
+    lies in the closed disk (|d| <= |c|).
 
     With D = |d|^2 - |c|^2, c0 = (b conj(d) - a conj(c)) / D and r = 1 / D;
     both are divided through by |d|^2, so that no product overflows.
     """
-    q = m.c / m.d if m.d else math.inf
+    q = c / d if d else math.inf
     s = 1 - abs(q) * abs(q)  # D / |d|^2; a product saturates where a square raises
     if not s > 0:
         return None
-    return (m.b - m.a * q.conjugate()) / m.d / s, 1 / s / abs(m.d) / abs(m.d)
+    return (b - a * q.conjugate()) / d / s, 1 / s / abs(d) / abs(d)
 
 
 def maps_disk_to_disk(m: MobiusMap) -> bool:
     """m sends the closed disk into itself: max |m(z)| = |c0| + r <= 1."""
-    disk = _image_disk(m)
+    disk = _image_disk(m.a, m.b, m.c, m.d)
     return disk is not None and abs(disk[0]) + disk[1] <= 1 + TOL
 
 
 def is_disk_automorphism(m: MobiusMap, tol: float = TOL) -> bool:
     """m maps the disk onto itself: while r >= |c0|, the largest value of
     ||m(z)| - 1| on the unit circle is |c0| + |r - 1|."""
-    disk = _image_disk(m)
+    disk = _image_disk(m.a, m.b, m.c, m.d)
     return disk is not None and abs(disk[0]) + abs(disk[1] - 1) <= tol
 
 
@@ -377,11 +383,42 @@ def disk_samples(count: int = 1000, seed: int = 0) -> list:
     return list(r * np.exp(1j * theta))
 
 
+def witness_bound(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap) -> float:
+    """An upper bound on sup over |z| <= 1 of |gamma(m1(z)) - m2(gamma(z))|.
+
+    With the matrix products L = gamma m1 and R = m2 gamma, and E = R - tL
+    for any scalar t, every z satisfies
+
+        L(z) - R(z) = [L(z)(e_c z + e_d) - (e_a z + e_b)] / (c_R z + d_R).
+
+    On the closed disk L(z) = c0 + w with |w| <= r, from L's image disk,
+    and |c_R z + d_R| >= |d_R| - |c_R|, so the deviation is at most
+
+        (|c0 e_c - e_a| + |c0 e_d - e_b| + r (|e_c| + |e_d|)) / (|d_R| - |c_R|),
+
+    or infinite when L has no image disk or |d_R| <= |c_R|.  t is the
+    least-squares fit of R to L: a multiple of L left in E changes no map,
+    yet with t = +-1 that multiple alone put the bound past WITNESS_TOL on
+    witnesses whose deviation is a hundredth of it.
+    """
+    L = _product(gamma, m1)
+    R = _product(m2, gamma)
+    disk = _image_disk(*L)
+    den = abs(R[3]) - abs(R[2])
+    if disk is None or not den > 0:
+        return math.inf
+    c0, r = disk
+    h = math.hypot(*(abs(y) for y in L))  # scales the sums of t, which may overflow
+    t = sum(x * (y / h).conjugate() for x, y in zip(R, L)) / h
+    ea, eb, ec, ed = (x - t * y for x, y in zip(R, L))
+    return (abs(c0 * ec - ea) + abs(c0 * ed - eb) + r * (abs(ec) + abs(ed))) / den
+
+
 def _verified(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap):
-    if not is_disk_automorphism(gamma, WITNESS_AUTO_TOL):
-        return None
-    dev = verify_conjugacy_witness(gamma, m1, m2, disk_samples(400, seed=7))
-    return gamma if dev <= WITNESS_TOL else None
+    if (is_disk_automorphism(gamma, WITNESS_AUTO_TOL)
+            and witness_bound(gamma, m1, m2) <= WITNESS_TOL):
+        return gamma
+    return None
 
 
 def _elliptic_witness(m1, m2, cl1, cl2, n1, n2):

@@ -35,6 +35,7 @@ from conjalg.diskmaps import (
     normal_form,
     semicrossed_iso_verdict,
     verify_conjugacy_witness,
+    witness_bound,
 )
 from conjalg.verify import random_disk_automorphism, random_elliptic_mobius
 
@@ -116,12 +117,19 @@ def test_pole_in_closed_disk_is_rejected(a, b, c, t, theta):
 
 
 @st.composite
-def near_disk_maps(draw):
-    """rho * g(z) + c0 for a disk automorphism g: |c0| + rho runs up to 1.01."""
-    g = mobius_compose(
+def disk_automorphisms(draw):
+    """A rotation after the Blaschke factor at p, as `random_disk_automorphism`
+    builds them, with |p| = |gamma^-1(0)| up to 0.95."""
+    return mobius_compose(
         MobiusMap.rotation(cmath.exp(1j * draw(angles))),
         MobiusMap.blaschke(draw(st.floats(0, 0.95)) * cmath.exp(1j * draw(angles))),
     )
+
+
+@st.composite
+def near_disk_maps(draw):
+    """rho * g(z) + c0 for a disk automorphism g: |c0| + rho runs up to 1.01."""
+    g = draw(disk_automorphisms())
     rho = draw(st.floats(1e-3, 1.0))
     c0 = draw(st.floats(0, 1.01 - rho)) * cmath.exp(1j * draw(angles))
     return mobius_compose(MobiusMap(rho, c0, 0, 1), g)
@@ -137,6 +145,16 @@ def test_admitted_maps_stay_in_disk_on_samples(m):
     assume(maps_disk_to_disk(m))
     for pts in (CIRCLE, SAMPLES):
         assert np.max(np.abs((m.a * pts + m.b) / (m.c * pts + m.d))) <= 1 + TOL
+
+
+@given(disk_automorphisms(), near_disk_maps(), st.one_of(st.none(), near_disk_maps()))
+def test_witness_bound_is_sound(gamma, m1, other):
+    # m2 is gamma m1 gamma^-1, or an unrelated map; either way the bound on
+    # the whole closed disk may not read below the samples
+    m2 = conj(gamma, m1) if other is None else other
+    assume(maps_disk_to_disk(m1) and maps_disk_to_disk(m2))
+    dev = verify_conjugacy_witness(gamma, m1, m2, np.concatenate([SAMPLES, CIRCLE]))
+    assert witness_bound(gamma, m1, m2) * (1 + 1e-9) + 1e-13 >= dev
 
 
 def test_random_automorphisms_pass_closed_form():
@@ -329,6 +347,62 @@ def test_verdict_same_map_with_real_halfplane_form():
     assert verdict == VERDICT_CONJUGATE
     assert verify_conjugacy_witness(w, m, m, disk_samples(1000, seed=3)) <= WITNESS_TOL
     assert analytically_conjugate(m, m) is not None
+
+
+# Pairs whose witnesses a cruder form of the bound rejected, though the
+# witness deviates by less than WITNESS_TOL.  The first three are the
+# contraction-yes pairs of the disk-verdicts benchmark at seeds 262, 891 and
+# 910, as raw matrices.  The bound over both denominators, the moduli of
+# the coefficients of the quadratic (a_L z + b_L)(c_R z + d_R) -
+# (a_R z + b_R)(c_L z + d_L) over (|d_L| - |c_L|)(|d_R| - |c_R|), read
+# 2.9e-9, 1.4e-10 and 7.9e-10 on them.
+CRUDE_BOUND_PAIRS = [
+    ([(-4.830593242339139-5.724976752891453j), (-8.159751937930505+5.895698920070168j),
+      (-8.267733143506968+3.828117758559985j), (4.83059324233914+10.832111093716192j)],
+     [(5.225002008265862+1.7489539836284056j), (-4.569456850468207-2.874954601513807j),
+      (3.397387259786085-3.977616107137733j), (-5.225002008265862+3.358180357196332j)]),
+    ([(-6.246281107981253-5.903322892917914j), (-5.122745029775175+9.637951145341486j),
+      (-9.881080200433722+1.9603046962757018j), (6.246281107981252+10.95078718550229j)],
+     [(9.009652051534928-1.5847594508869494j), (2.5600096186393047+9.801922140671252j),
+      (5.459947739041732+8.0133202293047j), (-9.009652051534928+6.632223743471323j)]),
+    ([(-2.8151636601048984-4.999369684830257j), (-3.063083010739291-8.191083657453733j),
+      (2.603224313631619+7.080928300089841j), (2.8151636601048993+10.279564154042777j)],
+     [(-11.965194097985684+1.3053193611579894j), (6.799511386453414-10.04154601644464j),
+      (-4.374805022255032-11.158383933603716j), (11.965194097985682+3.9748751080545333j)]),
+]
+# (m1, g) with m2 = g m1 g^-1.  With t = +-1 in place of the fitted scalar
+# the bound read 1.7e-10 on the parabolic pair (its own value is 2.2e-13);
+# with |L(z)| <= |c0| + r in place of the split about c0 it read 2.4e-10
+# on the contraction, whose deviation on 200 000 circle points is 3.7e-11.
+CONJUGATED_PAIRS = [
+    ([(-11.169527178113283+1.9999999999999993j), (9.82419545291431+5.314463386415327j),
+      (-9.82419545291431+5.314463386415327j), (11.169527178113283+1.9999999999999998j)],
+     [(-0.9856887528159209-0.16857545068067994j), (-0.7242019429395478+0.24078662990315353j),
+      (0.6732469952691433+0.35942334183884644j), (1+0j)]),
+    ([(18.4370146435432+1.0289686491653736j), (0.045720212360071656-18.493993722454345j),
+      (-2.4601427469237014-18.29792634467876j), (-18.437014643543208+3.4513390981339986j)],
+     [(-0.09477096173123985-0.9954991033710356j), (0.5940469747273712-0.2616367658890113j),
+      (0.20416076274296183-0.6161687986289272j), (1+0j)]),
+]
+
+
+@pytest.mark.parametrize("m1, m2", [
+    *((MobiusMap(*t1), MobiusMap(*t2)) for t1, t2 in CRUDE_BOUND_PAIRS),
+    *((MobiusMap(*t1), conj(MobiusMap(*g), MobiusMap(*t1))) for t1, g in CONJUGATED_PAIRS),
+], ids=["seed-262", "seed-891", "seed-910", "parabolic", "contraction"])
+def test_witness_bound_accepts_close_witnesses(m1, m2):
+    verdict, w = semicrossed_iso_verdict(m1, m2)
+    assert verdict == VERDICT_CONJUGATE
+    assert witness_bound(w, m1, m2) <= WITNESS_TOL
+
+
+def test_verdict_at_extreme_scale():
+    # d = 1e160: the sums of the fitted scalar overflow unless rescaled
+    m = MobiusMap.dilation(1e-320)
+    m2 = conj(random_disk_automorphism(np.random.default_rng(0)), m)
+    verdict, w = semicrossed_iso_verdict(m, m2)
+    assert verdict == VERDICT_CONJUGATE
+    assert witness_bound(w, m, m2) <= WITNESS_TOL
 
 
 def test_radial_square_witness():
