@@ -3,6 +3,10 @@
 Classification into the elliptic / parabolic / hyperbolic families, normal
 forms with their conjugation invariants, and the analytic-conjugacy and
 algebra-isomorphism decisions with explicit automorphism witnesses.
+
+Each map gets one chart g, in which its normal form is read.  A witness is
+g2^-1 o h o g1 for one affine h(w) = a w + b that commutes with the form,
+chosen by kind, and it is verified once, by a closed-form bound.
 """
 
 from __future__ import annotations
@@ -314,41 +318,39 @@ def _halfplane_chart(p: complex) -> MobiusMap:
     return MobiusMap(1j, 1j * p, -1, p)
 
 
-def _halfplane_form(m: MobiusMap, p: complex):
-    """Coefficients (A, B) of the conjugated map w -> A w + B fixing infinity."""
-    g = _halfplane_chart(p)
-    t = mobius_compose(mobius_compose(g, m), mobius_inverse(g))
-    if abs(t.c) > INFINITY_BAND:
-        raise MobiusError("conjugated map does not fix infinity")
-    return t.a / t.d, t.b / t.d
-
-
 def normal_form(m: MobiusMap):
     """Kind plus the conjugation-invariant tuple of the map."""
-    kind, inv, _ = _normal_form(m, classify(m))
-    return kind, inv
+    cl = classify(m)
+    return cl.kind, _normal_form(m, cl)[0]
 
 
 def _normal_form(m: MobiusMap, cl: DiskClassification):
-    """Kind, invariants and the form they are read from: phi m phi^-1 for
-    elliptic kinds, the half-plane (A, B) for boundary kinds, else None."""
+    """Invariants, a chart g and the form g m g^-1 they are read from.
+
+    g is the Blaschke factor at the interior fixed point for elliptic kinds,
+    psi(z) = (z - att)/(z - rep) for hyperbolic maps, whose multiplier needs
+    no form, and the half-plane chart at the distinguished point otherwise,
+    where the form is w -> A w + B.
+    """
     if cl.kind == KIND_IDENTITY:
-        return cl.kind, (), None
-    if cl.kind in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO):
-        phi = MobiusMap.blaschke(cl.distinguished)
-        n = mobius_compose(mobius_compose(phi, m), mobius_inverse(phi))
-        lam = n.a / n.d
-        kappa = -n.c / n.d
-        return cl.kind, (complex(lam), abs(kappa)), n
+        return (), MobiusMap.identity(), None
     if cl.kind == KIND_HYPERBOLIC:
-        return cl.kind, (float(cl.multiplier.real),), None
-    A, B = _halfplane_form(m, cl.distinguished)
+        (att, _), (rep, _) = cl.fixed_points
+        return (float(cl.multiplier.real),), MobiusMap(1, -att, 1, -rep), None
+    elliptic = cl.kind in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO)
+    g = (MobiusMap.blaschke if elliptic else _halfplane_chart)(cl.distinguished)
+    n = mobius_compose(mobius_compose(g, m), mobius_inverse(g))
+    if elliptic:
+        return (complex(n.a / n.d), abs(-n.c / n.d)), g, n
+    if abs(n.c) > INFINITY_BAND:
+        raise MobiusError("conjugated map does not fix infinity")
+    A, B = n.a / n.d, n.b / n.d
     if cl.kind == KIND_PARABOLIC:
-        return cl.kind, (1.0 if B.real >= 0 else -1.0,), (A, B)
+        return (1.0 if B.real >= 0 else -1.0,), g, n
     # non-elliptic non-automorphism
     if len(cl.fixed_points) == 1:  # double fixed point: parabolic type
-        return cl.kind, ("parabolic_type", complex(B / abs(B))), (A, B)
-    return cl.kind, ("two_fixed_points", float((1.0 / A).real)), (A, B)
+        return ("parabolic_type", complex(B / abs(B))), g, n
+    return ("two_fixed_points", float((1.0 / A).real)), g, n
 
 
 def _invariants_match(inv1, inv2) -> bool:
@@ -421,57 +423,6 @@ def _verified(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap):
     return None
 
 
-def _elliptic_witness(m1, m2, cl1, cl2, n1, n2):
-    phi1 = MobiusMap.blaschke(cl1.distinguished)
-    phi2 = MobiusMap.blaschke(cl2.distinguished)
-    k1 = -n1.c / n1.d
-    k2 = -n2.c / n2.d
-    if abs(k1) > KAPPA_CUTOFF and abs(k2) > KAPPA_CUTOFF:
-        c = (k1 / k2) / abs(k1 / k2)
-    else:
-        c = 1.0
-    rot = MobiusMap.rotation(c)
-    return _verified(
-        mobius_compose(mobius_inverse(phi2), mobius_compose(rot, phi1)), m1, m2
-    )
-
-
-def _hyperbolic_witness(m1, m2, cl1, cl2):
-    def chart(cl):
-        att = cl.fixed_points[0][0]
-        rep = cl.fixed_points[1][0]
-        return MobiusMap(1, -att, 1, -rep)
-
-    psi1, psi2 = chart(cl1), chart(cl2)
-    # align the two half-plane images by a scalar; probe a free boundary point
-    def probe(cl, psi):
-        for k in range(8):
-            b = cmath.exp(2j * math.pi * (k + 0.3) / 8)
-            if min(abs(b - p[0]) for p in cl.fixed_points) > 0.2:
-                return mobius_apply(psi, b)
-        raise MobiusError("no free boundary probe found")
-
-    c0 = probe(cl2, psi2) / probe(cl1, psi1)
-    for c in (c0, -c0):
-        gamma = mobius_compose(
-            mobius_inverse(psi2),
-            mobius_compose(MobiusMap.dilation(c), psi1),
-        )
-        w = _verified(gamma, m1, m2)
-        if w is not None:
-            return w
-    return None
-
-
-def _halfplane_witness(m1, m2, cl1, cl2, a: float, b: float):
-    g1 = _halfplane_chart(cl1.distinguished)
-    g2 = _halfplane_chart(cl2.distinguished)
-    aff = MobiusMap(a, b, 0, 1)
-    return _verified(
-        mobius_compose(mobius_inverse(g2), mobius_compose(aff, g1)), m1, m2
-    )
-
-
 def analytically_conjugate(m1: MobiusMap, m2: MobiusMap):
     """Witness automorphism gamma with gamma o m1 = m2 o gamma, or None."""
     return _conjugate(m1, classify(m1), m2, classify(m2))
@@ -479,27 +430,39 @@ def analytically_conjugate(m1: MobiusMap, m2: MobiusMap):
 
 def _conjugate(m1: MobiusMap, cl1: DiskClassification,
                m2: MobiusMap, cl2: DiskClassification):
-    if cl1.kind != cl2.kind:
+    """The witness g2^-1 o h o g1 for the charts g of the normal forms and
+    h(w) = a w + b from a table by kind, or None."""
+    kind = cl1.kind
+    if kind != cl2.kind:
         return None
-    kind1, inv1, form1 = _normal_form(m1, cl1)
-    _, inv2, form2 = _normal_form(m2, cl2)
+    inv1, g1, n1 = _normal_form(m1, cl1)
+    inv2, g2, n2 = _normal_form(m2, cl2)
     if not _invariants_match(inv1, inv2):
         return None
-    if kind1 == KIND_IDENTITY:
+    if kind == KIND_IDENTITY:
         return MobiusMap.identity()
-    if kind1 in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO):
-        return _elliptic_witness(m1, m2, cl1, cl2, form1, form2)
-    if kind1 == KIND_HYPERBOLIC:
-        return _hyperbolic_witness(m1, m2, cl1, cl2)
-    (A1, B1), (A2, B2) = form1, form2
-    if kind1 == KIND_PARABOLIC:
-        return _halfplane_witness(m1, m2, cl1, cl2, (B2 / B1).real, 0.0)
-    if len(cl1.fixed_points) == 1:  # parabolic-type contraction
-        return _halfplane_witness(m1, m2, cl1, cl2, abs(B2) / abs(B1), 0.0)
-    # B is real only within TOL of an automorphism, where a translation suffices
-    a = B2.imag / B1.imag if min(abs(B1.imag), abs(B2.imag)) > TOL else 1.0
-    b = ((B2 - a * B1) / (1 - A1)).real
-    return _halfplane_witness(m1, m2, cl1, cl2, a, b)
+    b = 0.0
+    if kind in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO):
+        # the rotation by kappa1/kappa2 carries lam z/(1 - kappa1 z) to lam z/(1 - kappa2 z)
+        k1, k2 = -n1.c / n1.d, -n2.c / n2.d
+        a = (k1 / k2) / abs(k1 / k2) if min(abs(k1), abs(k2)) > KAPPA_CUTOFF else 1.0
+    elif kind == KIND_HYPERBOLIC:
+        # On the circle conj(psi(z)) = psi(z) rep/att, so psi carries the
+        # circle to the line through 0 along u = sqrt(att/rep), and the disk to
+        # the side of it that holds psi(0) = u^2; u is not real, as att != rep.
+        u1, u2 = (cmath.sqrt(cl.fixed_points[0][0] / cl.fixed_points[1][0])
+                  for cl in (cl1, cl2))
+        a = u2 / u1 if (u1.imag > 0) == (u2.imag > 0) else -u2 / u1
+    else:
+        (A1, B1), (_, B2) = ((n.a / n.d, n.b / n.d) for n in (n1, n2))
+        if len(cl1.fixed_points) == 1:  # parabolic and parabolic-type: A = 1
+            a = abs(B2) / abs(B1)
+        else:
+            # B is real only within TOL of an automorphism, where a translation suffices
+            a = B2.imag / B1.imag if min(abs(B1.imag), abs(B2.imag)) > TOL else 1.0
+            b = ((B2 - a * B1) / (1 - A1)).real
+    h = MobiusMap(a, b, 0, 1)
+    return _verified(mobius_compose(mobius_inverse(g2), mobius_compose(h, g1)), m1, m2)
 
 
 VERDICT_CONJUGATE = "Conjugate"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conjalg import diskmaps
 from conjalg.diskmaps import (
     KIND_ELLIPTIC_AUTO,
     KIND_ELLIPTIC_NONAUTO,
@@ -296,6 +297,51 @@ def test_parabolic_sign_classes_differ():
     assert classify(plus).kind == KIND_PARABOLIC
     assert classify(minus).kind == KIND_PARABOLIC
     assert analytically_conjugate(plus, minus) is None
+
+
+HALFPLANE_TO_DISK = mobius_inverse(MobiusMap(1j, 1j, -1, 1))  # sends infinity to 1
+
+
+def test_hyperbolic_witness_aligns_either_side():
+    # cores w -> lam w of the upper half-plane, carried to the disk and
+    # conjugated, each paired with a conjugate of itself and of w -> w / lam;
+    # the chart (z - att)/(z - rep) sends the disk to the side of the line
+    # through 0 along u = sqrt(att/rep) holding u^2, and the drawn pairs
+    # need both the dilation by u2/u1 and by -u2/u1
+    rng = np.random.default_rng(9)
+    same_side = set()
+    for _ in range(100):
+        lam = rng.uniform(0.05, 0.95)
+        m1 = conj(random_disk_automorphism(rng), conj(HALFPLANE_TO_DISK, MobiusMap.dilation(lam)))
+        for core in (MobiusMap.dilation(lam), MobiusMap.dilation(1 / lam)):
+            m2 = conj(random_disk_automorphism(rng), conj(HALFPLANE_TO_DISK, core))
+            verdict, w = semicrossed_iso_verdict(m1, m2)
+            assert verdict == VERDICT_CONJUGATE
+            assert witness_bound(w, m1, m2) <= WITNESS_TOL
+            u1, u2 = (cmath.sqrt(fps[0][0] / fps[1][0])
+                      for fps in (classify(m).fixed_points for m in (m1, m2)))
+            same_side.add((u1.imag > 0) == (u2.imag > 0))
+    assert same_side == {True, False}
+
+
+@pytest.mark.parametrize("m", [
+    conj(MobiusMap.blaschke(0.3 + 0.2j), MobiusMap.rotation(cmath.exp(0.7j))),
+    MobiusMap(0.4j, 0, -0.2, 1),                                   # 0.4i z/(1 - 0.2 z)
+    conj(HALFPLANE_TO_DISK, MobiusMap(1, 2, 0, 1)),                # parabolic
+    ETA1,                                                          # hyperbolic
+    MobiusMap(0.5, 0.5, 0, 1),                                     # two fixed points
+    conj(HALFPLANE_TO_DISK, MobiusMap(1, 1 + 1j, 0, 1)),           # parabolic type
+], ids=["elliptic-auto", "elliptic-nonauto", "parabolic", "hyperbolic",
+        "two-fixed-points", "parabolic-type"])
+def test_one_verification_per_decision(monkeypatch, m):
+    calls = []
+    verified = diskmaps._verified
+    monkeypatch.setattr(diskmaps, "_verified",
+                        lambda *args: calls.append(args) or verified(*args))
+    rng = np.random.default_rng(4)
+    for k in range(20):
+        assert analytically_conjugate(m, conj(random_disk_automorphism(rng), m)) is not None
+        assert len(calls) == k + 1
 
 
 def test_multiplier_invariance_under_conjugation():
