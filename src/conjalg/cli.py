@@ -3,7 +3,8 @@
 Every invocation prints exactly one JSON document to stdout.  Exit code 0
 means the requested decision completed (whatever the answer), 2 signals a
 parse or validation failure of the inputs, and 3 a module precondition
-failure.
+failure or any other error inside a decision.  Every failure writes one
+`error:` line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def _load_mobius(path) -> MobiusMap:
         raise CliError("bad Mobius map JSON %s: %s" % (path, exc), EXIT_PARSE)
 
 
-def _decide(stage, *maps):
-    """stage(*maps), where any MobiusError exits 3 with the stage's name."""
+def _decide(stage, *args):
+    """stage(*args), where any error exits 3 with the stage's name."""
     try:
-        return stage(*maps)
-    except diskmaps.MobiusError as exc:
-        raise CliError("%s: %s" % (stage.__name__, exc), EXIT_PRECONDITION)
+        return stage(*args)
+    except Exception as exc:
+        raise CliError("%s: %s: %s" % (stage.__name__, type(exc).__name__, exc),
+                       EXIT_PRECONDITION)
 
 
 def validate_report(obj) -> bool:
@@ -140,6 +142,8 @@ def cmd_pencil_check(args):
         rep = reps.build_pencil(sys_, args.x, z, args.radius)
     except reps.NestRepError as exc:
         raise CliError("%s: %s" % (exc.code, exc), EXIT_PRECONDITION)
+    except ValueError as exc:  # a NaN or infinite z
+        raise CliError(str(exc), EXIT_PARSE)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.samples):
@@ -197,8 +201,8 @@ def cmd_disk_verify_witness(args):
     gamma = GAMMA_PRESETS[args.gamma]
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
-    dev = diskmaps.verify_conjugacy_witness(
-        gamma, m1, m2, diskmaps.disk_samples(args.samples, seed=args.seed))
+    dev = _decide(diskmaps.verify_conjugacy_witness, gamma, m1, m2,
+                  diskmaps.disk_samples(args.samples, seed=args.seed))
     return {
         "command": "disk-verify-witness",
         "gamma": args.gamma,
@@ -314,10 +318,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
+        _emit(report)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
-    _emit(report)
+    except Exception as exc:  # a fault inside a decision: exit 3, no traceback
+        command = " ".join(filter(None, (args.subcommand, getattr(args, "disk_subcommand", None))))
+        sys.stderr.write("error: %s: %s: %s\n" % (command, type(exc).__name__, exc))
+        return EXIT_PRECONDITION
     if args.subcommand == "verify-suite" and not report["passed"]:
         return 1
     return EXIT_OK

@@ -63,6 +63,8 @@ def _normalize(a, b, c, d):
         a, b, c, d = (complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k))
                       for w in (a, b, c, d))
         det = a * d - b * c
+    if not cmath.isfinite(det):  # exactly when an entry is NaN or infinite
+        raise MobiusError("coefficients must be finite, not NaN or infinite")
     if det == 0:
         raise MobiusError("matrix is singular")
     s = cmath.sqrt(det)

@@ -3,11 +3,13 @@
 A finite system is a set {0, ..., n-1} together with a self-map given as a
 table.  Conjugacy of two systems is decided from the cycle structure and
 integer AHU labels (Aho, Hopcroft and Ullman) of the rooted in-trees
-hanging off each cycle point.  One leaf peel, without recursion, gives every
-point its height.  The in-tree children are kept in CSR form: one array of
-all children plus one array of start offsets per parent.  The labels are
-then ranked one height level at a time, with numpy where a level is wide and
-in a Python loop where it is narrow.
+hanging off each cycle point, without recursion.  A leaf peel, one height
+level at a time, gives every point its height.  The in-tree children are
+kept in CSR form: one array of all children plus one array of start offsets
+per parent.  The labels are then ranked one height level at a time, and the
+witness pairs the breadth-first orders of the two systems.  Peel, ranking
+and walk each run in numpy where a level is wide and in a Python loop where
+it is narrow; the loops read the arrays through memoryviews.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from functools import lru_cache
 import numpy as np
 
 BRUTE_FORCE_MAX = 9
-# A level of at least this many points is labelled with numpy, a narrower one
-# in a Python loop.  Timing `orbit_structure` on systems whose levels hold w
-# points with 1, 2 or 4 children each, the two cost the same between w = 48
-# and w = 96 (2-vCPU shared machine, Python 3.11, numpy 2.4): at w = 64 and
-# one child, 119 us per level with numpy against 145 us in Python; at w = 16,
-# 87 us against 34 us.
+# A level of at least this many points is peeled, labelled and walked with
+# numpy, a narrower one in a Python loop.  Timed on systems of 200 levels of
+# w points, each with one child in the level below, relabelled at random, all
+# levels one way or all the other (2-vCPU shared machine, Python 3.11, numpy
+# 2.4), per level: `orbit_structure` took 75 us with numpy against 31 us in
+# Python at w = 16, 84 against 122 us at w = 64 and 121 against 333 us at
+# w = 128; the breadth-first walk 13 against 3, 12 against 15 and 11 against
+# 32 us.  On random maps of 10**5 and 10**6 points a whole walk took 10 and
+# 64-75 ms with the switch anywhere from 32 to 128, and 28 and 191 ms at 512.
 WIDE_LEVEL = 64
 
 
@@ -139,66 +144,148 @@ def fixed_points(sys: FiniteDynSys) -> set:
 
 def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     """Split the functional graph into cycles and rooted in-trees, and label
-    the trees level by level, without recursion."""
-    n, f = sys.n, sys.map.tolist()  # list indexing beats numpy scalars here
-    indeg = np.bincount(sys.map, minlength=n).tolist()
-    # peel leaves; a point joins `order` once all its preimages have, and
-    # whatever never joins lies on a cycle.  `order` is a queue, so it runs
-    # through the heights in turn and a point's last child is its tallest.
-    order = [i for i in range(n) if indeg[i] == 0]
-    height = [0] * n
-    for i in order:  # grows while it is read
-        j = f[i]
-        height[j] = height[i] + 1
-        indeg[j] -= 1
-        if indeg[j] == 0:
-            order.append(j)
+    the trees level by level, without recursion.
 
-    # children in CSR form, by parent and then peel order; points by height.
-    # Every child sits lower than its parent, so its label is final when the
-    # parent's level comes.  A point's tallest child sits one level below it
-    # and no two points share a child, so the levels only narrow going up:
-    # the wide ones come first and are labelled with numpy, the rest in Python.
-    shapes, lo = [], 0
+    Leaves are peeled one height level at a time: in numpy while a level is
+    wide, then in a Python queue from the first narrow level on.  One sort
+    of the peel order by parent gives the CSR children, and counting the
+    peel levels gives the points by height, with no sort.  Labels are ranked
+    level by level, in numpy on the wide levels and in Python on the narrow
+    ones, and only the cycle points are walked for the cycles.  The Python
+    loops read and write the numpy arrays through memoryviews, so the only
+    lists built hold points that a Python loop visits.
+    """
+    n = sys.n
     if n < WIDE_LEVEL:
-        # No level can be wide, so numpy would only build arrays to be read
-        # back as lists.  Building the lists directly costs less for small n:
-        # `orbit_structure` on random maps, every level ranked in Python, took
-        # 31 us against 47 us with the numpy set-up at n = 5 and 52 against
-        # 71 us at n = 16; from n = 32 to 128 the two were within 8 us (on the
-        # machine named at WIDE_LEVEL).
-        kids = sorted(order, key=f.__getitem__)
-        start = [0] * (n + 1)
-        for i in order:
-            start[f[i] + 1] += 1
-        start = list(itertools.accumulate(start))
-        points = sorted(range(n), key=height.__getitem__)
-        bounds = [k for k in range(1, n + 1)
-                  if k == n or height[points[k]] != height[points[k - 1]]]
-        label = [0] * n
-    else:
-        children = np.array(order, dtype=np.int64)
-        del order  # n Python ints: free them before the lists below
-        children = children[sys.map[children].argsort(kind="stable")]
-        child_start = np.zeros(n + 1, dtype=np.int64)
-        np.bincount(sys.map[children], minlength=n).cumsum(out=child_start[1:])
-        height = np.array(height, dtype=np.int64)
-        by_height = height.argsort(kind="stable")
-        counts = np.bincount(height)
-        bounds = counts.cumsum().tolist()
-        wide = int(np.count_nonzero(counts >= WIDE_LEVEL))
-        lab = np.zeros(n, dtype=np.int64)
-        for hi in bounds[:wide]:
-            level = by_height[lo:hi]
-            first, stop = child_start[level], child_start[level + 1]
-            rank, level_shapes = _rank_rows(lab[_gather(children, first, stop)], stop - first)
-            lab[level] = rank + len(shapes)
-            shapes.extend(level_shapes)
-            lo = hi
-        bounds = bounds[wide:]
-        kids, start, points, label = (children.tolist(), child_start.tolist(),
-                                      by_height.tolist(), lab.tolist())
-    narrow = lo
+        return _small_orbit_structure(sys)
+    f = sys.map
+    indeg = np.bincount(f, minlength=n)
+    height = np.zeros(n, dtype=np.int64)
+    levels, level = [], np.flatnonzero(indeg == 0)
+    while len(level) >= WIDE_LEVEL:
+        levels.append(level)
+        level = _peel(f, level, indeg, height, len(levels))
+    up, left = memoryview(f), memoryview(indeg)
+    levels.append(np.array(_peel_queue(level.tolist(), up, left, memoryview(height)),
+                           dtype=np.int64))
+    tree = np.concatenate(levels)  # every non-cycle point, in peel order
+    on_cycle = np.flatnonzero(indeg)
+    cycles = _walk_cycles(on_cycle.tolist(), up, left)
+
+    # the points by height, each level its tree points and then its cycle
+    # points, in any order; the tree points come by height already, so
+    # counting places them
+    tree_height, cycle_height = height[tree], height[on_cycle]
+    tree_count = np.bincount(tree_height, minlength=int(height.max()) + 1)
+    cycle_count = np.bincount(cycle_height, minlength=len(tree_count))
+    by_height = np.empty(n, dtype=np.int64)
+    by_height[np.arange(len(tree)) + (cycle_count.cumsum() - cycle_count)[tree_height]] = tree
+    rise = cycle_height.argsort()
+    by_height[np.arange(len(rise)) + tree_count.cumsum()[cycle_height[rise]]] = on_cycle[rise]
+    counts = tree_count + cycle_count
+    bounds = counts.cumsum().tolist()
+
+    # children in CSR form, by parent and then peel order.  Every child sits
+    # lower than its parent, so its label is final when the parent's level
+    # comes.  A point's tallest child sits one level below it and no two
+    # points share a child, so the levels only narrow going up: the wide
+    # ones come first and are labelled with numpy, the rest in Python.
+    children = tree[_stable_order(f[tree], n)]
+    child_start = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(f[tree], minlength=n).cumsum(out=child_start[1:])
+    shapes, lo = [], 0
+    wide = int(np.count_nonzero(counts >= WIDE_LEVEL))
+    lab = np.zeros(n, dtype=np.int64)
+    for hi in bounds[:wide]:
+        level = by_height[lo:hi]
+        first, stop = child_start[level], child_start[level + 1]
+        rank, level_shapes = _rank_rows(lab[_gather(children, first, stop)], stop - first)
+        lab[level] = rank + len(shapes)
+        shapes.extend(level_shapes)
+        lo = hi
+    _label_levels(memoryview(by_height), lo, bounds[wide:], memoryview(children),
+                  memoryview(child_start), memoryview(lab), shapes)
+    # children by (parent, label, peel order): the order the witness pairs them in
+    children = children[_stable_order(f[children] * len(shapes) + lab[children],
+                                      n * len(shapes))]
+    return _orbit(cycles, memoryview(lab), shapes, children, child_start)
+
+
+def _small_orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
+    """`orbit_structure` with lists in place of numpy arrays.
+
+    Below WIDE_LEVEL points no level can be wide, so numpy would only build
+    arrays to be read back one entry at a time.  Building lists costs less
+    for small n: on random maps this took 22-27 us against 64-74 us with the
+    numpy set-up at n = 5, 46-49 against 88-90 us at n = 16 and 120-156
+    against 155-240 us at n = 63 (on the machine named at WIDE_LEVEL).
+    """
+    n, f = sys.n, sys.map.tolist()
+    indeg = np.bincount(sys.map, minlength=n).tolist()
+    height = [0] * n
+    order = _peel_queue([i for i in range(n) if indeg[i] == 0], f, indeg, height)
+    kids = sorted(order, key=f.__getitem__)
+    start = [0] * (n + 1)
+    for i in order:
+        start[f[i] + 1] += 1
+    start = list(itertools.accumulate(start))
+    points = sorted(range(n), key=height.__getitem__)
+    bounds = [k for k in range(1, n + 1) if k == n or height[points[k]] != height[points[k - 1]]]
+    label, shapes = [0] * n, []
+    _label_levels(points, 0, bounds, kids, start, label, shapes)
+    children = np.array(sorted(kids, key=lambda c: (f[c], label[c])), dtype=np.int64)
+    return _orbit(_walk_cycles(range(n), f, indeg), label, shapes,
+                  children, np.array(start, dtype=np.int64))
+
+
+def _peel(f, level, indeg, height, h):
+    """One level of the leaf peel, in numpy: the points that have no
+    preimage left once `level` is peeled, in the order in which a queue
+    reading `level` reaches them, that is by the position of their last
+    child in `level`.  Takes the peeled points off `indeg` and gives every
+    point they map to the height h."""
+    at = _stable_order(f[level], len(f))  # the children of a parent together
+    parent = f[level[at]]
+    last = np.append(np.flatnonzero(parent[1:] != parent[:-1]), len(level) - 1)
+    parent, at = parent[last], at[last]  # each parent once, with its last child
+    indeg[parent] -= np.diff(last, prepend=-1)
+    height[parent] = h
+    ready = indeg[parent] == 0
+    return parent[ready][at[ready].argsort()]
+
+
+def _peel_queue(queue, up, left, height):
+    """Peel leaves from `queue` on: a point joins the queue once all its
+    preimages have, and whatever never joins lies on a cycle.  The queue
+    runs through the heights in turn, so a point's last child is its
+    tallest.  Returns the queue."""
+    for i in queue:  # grows while it is read
+        j = up[i]
+        height[j] = height[i] + 1
+        left[j] -= 1
+        if left[j] == 0:
+            queue.append(j)
+    return queue
+
+
+def _walk_cycles(points, up, left):
+    """The cycles through `points`, taken in order, each walked along `up`
+    from its first point in `points`.  A point lies on a cycle not yet walked
+    exactly when `left` is nonzero there; the walk clears it."""
+    cycles = []
+    for i in points:
+        if left[i]:
+            cycle, j = [], i
+            while left[j]:
+                left[j] = 0
+                cycle.append(j)
+                j = up[j]
+            cycles.append(cycle)
+    return cycles
+
+
+def _label_levels(points, lo, bounds, kids, start, label, shapes):
+    """Label the levels points[lo:hi], for hi in bounds in turn, in Python."""
     for hi in bounds:
         if hi - lo == 1:
             i = points[lo]
@@ -212,31 +299,34 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
             for i, s in shape.items():
                 label[i] = rank[s]
         lo = hi
-    # children by (parent, label, peel order): the order the witness pairs them in
-    if n < WIDE_LEVEL:  # the list set-up
-        children = np.array(sorted(kids, key=lambda c: (f[c], label[c])), dtype=np.int64)
-        child_start = np.array(start, dtype=np.int64)
-    else:
-        lab[by_height[narrow:]] = [label[p] for p in points[narrow:]]
-        children = children[(sys.map[children] * len(shapes) + lab[children]).argsort(kind="stable")]
+
+
+def _orbit(cycles, label, shapes, children, child_start) -> OrbitStructure:
+    """The OrbitStructure, with each cycle keyed by its least rotation."""
+    keyed = []
+    for cycle in cycles:
+        labels = [label[p] for p in cycle]
+        k = _least_rotation(labels)
+        keyed.append(((len(cycle), tuple(labels[k:] + labels[:k])),
+                      tuple(cycle[k:] + cycle[:k])))
+    keys, cycles = zip(*sorted(keyed))
     children.setflags(write=False)
     child_start.setflags(write=False)
-
-    cycles = []
-    for i in range(n):
-        if indeg[i]:  # on a cycle and not yet walked
-            cyc = []
-            j = i
-            while indeg[j]:
-                indeg[j] = 0
-                cyc.append(j)
-                j = f[j]
-            labels = [label[p] for p in cyc]
-            k = _least_rotation(labels)
-            cycles.append(((len(cyc), tuple(labels[k:] + labels[:k])), tuple(cyc[k:] + cyc[:k])))
-    keys, cycles = zip(*sorted(cycles))
     return OrbitStructure(cycles=cycles, keys=keys, shapes=tuple(shapes),
                           children=children, child_start=child_start)
+
+
+def _stable_order(key, bound):
+    """key.argsort(kind="stable"), for an int64 key with entries in range(bound).
+
+    Where it fits in int64, a plain sort of key * len(key) + position does
+    the same: those values are unique.  On 10**5 random keys that took 1.6 ms
+    against 13 ms (on the machine named at WIDE_LEVEL).
+    """
+    size = len(key)
+    if bound * size > 2 ** 63:  # Python integers: this product cannot overflow
+        return key.argsort(kind="stable")
+    return np.sort(key * size + np.arange(size)) % size
 
 
 def _gather(values, first, stop):
@@ -252,28 +342,47 @@ def _rank_rows(vals, size):
     Row r is the next size[r] entries of vals, in any order.  Returns each
     row's rank among the level's distinct rows, sorted and compared as
     tuples, and those distinct sorted rows in rank order.  Rows are compared
-    by doubling the compared prefix, so memory stays in proportion to vals.
+    block by block: blocks of 1, 2, 4, ... labels aligned at the row start,
+    each ranked from its two halves, so the work halves from round to round.
     """
     total = len(vals)
     if not total:  # a level of leaves
         return np.zeros(len(size), dtype=np.int64), [()]
     offset = np.cumsum(size) - size  # row -> start of its labels in `vals`
     row = np.repeat(np.arange(len(size)), size)
-    at = np.arange(total)
     top = int(vals.max()) + 1
     vals = np.sort(row * top + vals) - row * top  # each row in ascending order
-    # rank[k] orders the `span` labels from k on, cut at the end of k's row,
-    # with a cut string before every string it is a prefix of
-    rank, rest, span = vals, np.repeat(offset + size, size) - at, 1
+    # block k starts at `at` and holds `span` labels, or fewer at its row's
+    # end; rank orders the blocks, a cut block before every block it begins
+    at, first, rank, span = np.arange(total), offset[row], vals, 1
     while span < size.max():
-        after = np.where(rest > span, rank[np.minimum(at + span, total - 1)], -1)
-        rank = np.unique(rank * (int(rank.max()) + 2) + after + 1, return_inverse=True)[1]
-        span *= 2
-    key = np.full(len(size), -1, dtype=np.int64)  # the empty row first
-    key[size > 0] = rank[offset[size > 0]]
-    _, rep, rank = np.unique(key, return_index=True, return_inverse=True)
-    vals, offset, size = vals.tolist(), offset.tolist(), size.tolist()
-    return rank, [tuple(vals[offset[r]:offset[r] + size[r]]) for r in rep.tolist()]
+        odd = (at - first) & span != 0  # second halves: the block before absorbs them
+        after = np.where(np.append(odd[1:], False), np.append(rank[1:], 0) + 1, 0)
+        keep = ~odd
+        top = int(rank.max()) + 2
+        rank = _dense_rank((rank * top + after)[keep], top * top)[0]
+        at, first, span = at[keep], first[keep], span * 2
+    key = np.zeros(len(size), dtype=np.int64)  # the empty row first
+    key[size > 0] = rank + 1
+    rank, rep = _dense_rank(key, int(key.max()) + 1)
+    size = size[rep]  # only the distinct rows go to Python
+    vals = _gather(vals, offset[rep], offset[rep] + size).tolist()
+    ends = np.cumsum(size).tolist()
+    return rank, [tuple(vals[a:b]) for a, b in itertools.pairwise([0] + ends)]
+
+
+def _dense_rank(key, bound):
+    """Each entry's rank among the distinct values of key, an int64 array
+    with entries in range(bound), and the first index of each distinct
+    value: what np.unique returns as inverse and index, by a plain sort."""
+    order = _stable_order(key, bound)
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
 
 def _least_rotation(seq) -> int:
@@ -334,14 +443,40 @@ def are_conjugate(a: FiniteDynSys, b: FiniteDynSys):
     return ConjugacyWitness(a, b, sigma)
 
 
-def _breadth_first(orbit: OrbitStructure) -> list:
+def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
     """Every point: the cycles in order, then level after level of their
-    in-trees, each point's children in CSR order."""
-    kids, start = orbit.children.tolist(), orbit.child_start.tolist()
-    order = [p for cycle in orbit.cycles for p in cycle]
-    for x in order:  # grows while it is read
-        order += kids[start[x]:start[x + 1]]
-    return order
+    in-trees, each point's children in CSR order.
+
+    A narrow queue is read point by point in Python until what it holds
+    unread is wide; a wide one is expanded a whole stretch at a time in
+    numpy.  A stretch need not be one level: whatever sits in the queue
+    comes out before its children, in order, either way.
+    """
+    children, child_start = orbit.children, orbit.child_start
+    kids, start = memoryview(children), memoryview(child_start)
+    queue = [p for cycle in orbit.cycles for p in cycle]
+    done = []
+    while queue:
+        if len(queue) < WIDE_LEVEL:
+            for i, x in enumerate(queue):  # grows while it is read
+                a, b = start[x], start[x + 1]
+                if b - a == 1:
+                    queue.append(kids[a])
+                elif a < b:
+                    queue += kids[a:b].tolist()
+                    if len(queue) - i > WIDE_LEVEL:
+                        break
+            else:
+                done.append(queue)
+                break
+            done.append(queue[:i + 1])
+            queue = queue[i + 1:]
+        queue = np.array(queue, dtype=np.int64)
+        while len(queue) >= WIDE_LEVEL:
+            done.append(queue)
+            queue = _gather(children, child_start[queue], child_start[queue + 1])
+        queue = queue.tolist()
+    return np.concatenate(done)
 
 
 @lru_cache(maxsize=None)

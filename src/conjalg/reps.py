@@ -11,6 +11,7 @@ Two families live here:
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -248,6 +249,8 @@ def build_offfixed(sys: FiniteDynSys, x: int) -> OffFixedRep:
 def build_pencil(sys: FiniteDynSys, x: int, z, radius: float = 1.0) -> PencilRep:
     if not 0 <= x < sys.n:
         raise ValueError("base point out of range")
+    if not cmath.isfinite(complex(z)):
+        raise ValueError("pencil parameter must be finite, not NaN or infinite")
     y = sys.map[x]
     if y == x or sys.map[y] != y:
         raise NotPreperiodicError(

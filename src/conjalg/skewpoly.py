@@ -23,12 +23,11 @@ class InvalidWitnessError(ValueError):
 
 
 def _as_coef(system: FiniteDynSys, values) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
+    v = np.array(values, dtype=complex)  # a copy: the caller keeps their array
     if v.shape != (system.n,):
         raise SystemMismatchError(
             "coefficient vector has length %r, expected %d" % (v.shape, system.n)
         )
-    v = v.copy()
     v.flags.writeable = False
     return v
 
@@ -43,8 +42,10 @@ class SkewPoly:
     @classmethod
     def make(cls, system: FiniteDynSys, coeffs) -> "SkewPoly":
         vs = [_as_coef(system, c) for c in coeffs]
-        while vs and not np.any(vs[-1]):
+        while vs and not np.any(vs[-1]):  # NaN counts as nonzero here
             vs.pop()
+        if vs and not np.isfinite(vs).all():  # once for all vectors: cheaper than per vector
+            raise ValueError("coefficients must be finite, not NaN or infinite")
         return cls(system, tuple(vs))
 
     @classmethod

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conjalg import diskmaps, dynsys
 from conjalg.cli import main, validate_report
 from conjalg.diskmaps import MobiusMap
 from conjalg.dynsys import ConjugacyWitness, FiniteDynSys, relabel
@@ -272,3 +273,46 @@ def test_validate_report():
     assert not validate_report({"v": 1})
     assert not validate_report(["command"])
     assert not validate_report({"command": "x", "v": float("nan")})
+
+
+def assert_clean_failure(capsys, code, expected, *words):
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert all(w in captured.err for w in words)
+
+
+def test_pencil_check_rejects_nan_parameter(tmp_path, capsys):
+    s = write_json(tmp_path, "s.json", {"n": 2, "map": [1, 1]})
+    code = main(["pencil-check", s, "0", "--z-re", "nan"])
+    assert_clean_failure(capsys, code, 2, "finite")
+
+
+def test_disk_verify_witness_rejects_nan_matrix(tmp_path, capsys):
+    bad = write_json(tmp_path, "nan.json", {"matrix": [[float("nan"), 0], [0, 0], [0, 0], [1, 0]]})
+    ok = write_json(tmp_path, "id.json", {"matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]})
+    code = main(["disk", "verify-witness", "identity", bad, ok])
+    assert_clean_failure(capsys, code, 2, "finite")
+
+
+def test_norms_rejects_nan_coefficient(tmp_path, capsys):
+    obj = SkewPoly.monomial(FiniteDynSys(2, (1, 0)), [1, 1], 1).to_json()
+    obj["coeffs"][-1][0] = [float("nan"), 0.0]
+    code = main(["norms", write_json(tmp_path, "p.json", obj)])
+    assert_clean_failure(capsys, code, 2, "finite")
+
+
+def test_fault_in_a_decision_exits_3_naming_the_stage(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    a = write_json(tmp_path, "a.json", {"n": 2, "map": [1, 0]})
+    monkeypatch.setattr(dynsys, "are_conjugate", boom)
+    assert_clean_failure(capsys, main(["finite", a, a]), 3, "finite: RuntimeError: boom")
+
+    m = write_json(tmp_path, "m.json", {"preset": "blaschke_half"})
+    monkeypatch.setattr(diskmaps, "mobius_apply", boom)
+    code = main(["disk", "verify-witness", "cayley", m, m])
+    assert_clean_failure(capsys, code, 3, "verify_conjugacy_witness: RuntimeError: boom")
+

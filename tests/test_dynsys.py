@@ -249,9 +249,21 @@ def test_golden_forms_and_witnesses():
     assert _md5(witnesses) == "82b8cbe06104f2915c2e9b74479e2729"
 
 
+def cycle_with_chains(n, rng):
+    """A cycle of n/4 points; every other point hangs on a random cycle point
+    or on the point before it, so chains have mean length 2."""
+    length = max(3, n // 4)
+    table = np.empty(n, dtype=np.int64)
+    table[:length] = (np.arange(length) + 1) % length
+    to_cycle = rng.random(n - length) < 0.5
+    table[length:] = np.where(to_cycle, rng.integers(0, length, n - length),
+                              np.arange(length - 1, n - 1))
+    return table
+
+
 def test_numpy_and_python_levels_agree(monkeypatch):
-    """Every level ranked with numpy, every level in Python, or the default
-    mix: the same orbit structure and the same witness."""
+    """Every level peeled, ranked and walked with numpy, every level in
+    Python, or the default mix: the same orbit structure and the same witness."""
     rng = np.random.default_rng(7)
     pairs = []
     for i in range(210):
@@ -264,12 +276,38 @@ def test_numpy_and_python_levels_agree(monkeypatch):
             table = broom(n, rng)
         a = FiniteDynSys(n, table)
         pairs.append((a, relabel(a, rng.permutation(n))))
+    # each switch at n >= WIDE_LEVEL: cycles with no leaves at all; a fixed
+    # point whose children make the walk's second level wide; paths, narrow
+    # at every level; short chains on a cycle, wide where the walk starts
+    for n in (64, 65, 200, 1000):
+        for table in ((np.arange(n) + 1) % n, np.zeros(n, dtype=np.int64),
+                      np.maximum(np.arange(n) - 1, 0), cycle_with_chains(n, rng)):
+            a = FiniteDynSys(n, table)
+            pairs.append((a, relabel(a, rng.permutation(n))))
     results = []
     for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
         monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
         results.append([(orbit_structure(a), orbit_structure(b), are_conjugate(a, b).bijection)
                         for a, b in pairs])
     assert results[0] == results[1] == results[2]
+
+
+def test_stable_order_matches_stable_argsort_at_any_scale():
+    """The final child sort keys each child by (parent * S + label) and
+    appends its position among m children: about n**3, past 2**63 above
+    about 2 * 10**6 points.  There `_stable_order` must fall back to a stable
+    argsort rather than wrap round.  Synthetic keys of that size, no system."""
+    rng = np.random.default_rng(11)
+    n = m = 2_100_000  # points, labels and children alike
+    key = rng.integers(n - 1000, n, m) * n + rng.integers(0, 3, m)  # many ties
+    assert n * n * m > 2 ** 63 and (key * m + np.arange(m)).min() < 0  # the plain key wraps
+    assert np.array_equal(dynsys._stable_order(key, n * n), key.argsort(kind="stable"))
+    small = key[:10_000] - key.min()  # a plain sort is safe here
+    assert np.array_equal(dynsys._stable_order(small, int(small.max()) + 1),
+                          small.argsort(kind="stable"))
+    # bound * size = 2**63 still fits: the largest plain key is 2**63 - 1
+    for bound in (2 ** 62, 2 ** 62 + 1):
+        assert dynsys._stable_order(np.array([2 ** 62 - 1, 0]), bound).tolist() == [1, 0]
 
 
 def test_json_roundtrip():
