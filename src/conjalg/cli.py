@@ -180,8 +180,7 @@ def cmd_disk_conjugate(args):
     report = {"command": "disk-conjugate", "conjugate": w is not None}
     if w is not None:
         report["witness"] = w.to_json()["matrix"]
-        report["max_deviation"] = diskmaps.verify_conjugacy_witness(
-            w, m1, m2, diskmaps.disk_samples(args.samples, seed=args.seed))
+        report["deviation_bound"] = diskmaps.witness_bound(w, m1, m2)
     return report
 
 
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("conjugate")
     p.add_argument("m1")
     p.add_argument("m2")
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=default_seed)
     p.set_defaults(fn=cmd_disk_conjugate)
 
     p = dsub.add_parser("iso")

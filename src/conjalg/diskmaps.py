@@ -280,39 +280,23 @@ def classify(m: MobiusMap) -> DiskClassification:
         kind = KIND_ELLIPTIC_AUTO if auto else KIND_ELLIPTIC_NONAUTO
         return DiskClassification(kind, tuple([interior[0]] + rest), lam)
 
+    # a double fixed point is detected from the trace, which is stable under
+    # conjugation, rather than from the numerically split roots
     t2 = (m.a + m.d) ** 2
-    if auto:
-        # parabolic iff the squared trace is 4 (double boundary fixed point)
-        if abs(t2 - 4) <= TRACE_BAND:
-            z = (m.a - m.d) / (2 * m.c) if abs(m.c) > TOL else boundary[0][0]
-            return DiskClassification(
-                KIND_PARABOLIC, ((z, "boundary"),), 1.0 + 0.0j
-            )
-        attracting = min(boundary, key=lambda p: abs(mult(p[0])))
-        rest = [p for p in fps if p is not attracting]
-        lam = mult(attracting[0])
-        return DiskClassification(
-            KIND_HYPERBOLIC, tuple([attracting] + rest), lam.real
-        )
-
-    # non-elliptic non-automorphism: a double fixed point is detected from
-    # the trace, which is stable under conjugation, rather than from the
-    # numerically split roots
-    if abs(m.c) > TOL and abs(t2 - 4) <= TRACE_BAND:
-        z = (m.a - m.d) / (2 * m.c)
-        return DiskClassification(
-            KIND_NONELLIPTIC_NONAUTO, ((z, "boundary"),), mult(z)
-        )
-    # otherwise the Denjoy-Wolff point is the boundary fixed point with
-    # derivative of modulus at most one
+    if abs(t2 - 4) <= TRACE_BAND and (auto or abs(m.c) > TOL):
+        z = (m.a - m.d) / (2 * m.c) if abs(m.c) > TOL else boundary[0][0]
+        kind, lam = (KIND_PARABOLIC, 1.0 + 0.0j) if auto else (KIND_NONELLIPTIC_NONAUTO, mult(z))
+        return DiskClassification(kind, ((z, "boundary"),), lam)
+    # otherwise the attracting (Denjoy-Wolff) point is the boundary fixed
+    # point of least derivative, which has modulus at most one
     candidates = [p for p in boundary if abs(mult(p[0])) <= 1 + MULTIPLIER_BAND]
     if not candidates:
         raise MobiusError("no attracting boundary fixed point found")
     dw = min(candidates, key=lambda p: abs(mult(p[0])))
     rest = [p for p in fps if p is not dw]
-    return DiskClassification(
-        KIND_NONELLIPTIC_NONAUTO, tuple([dw] + rest), mult(dw[0])
-    )
+    lam = mult(dw[0])
+    kind, lam = (KIND_HYPERBOLIC, lam.real) if auto else (KIND_NONELLIPTIC_NONAUTO, lam)
+    return DiskClassification(kind, tuple([dw] + rest), lam)
 
 
 def _halfplane_chart(p: complex) -> MobiusMap:

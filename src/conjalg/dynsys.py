@@ -9,7 +9,8 @@ kept in CSR form: one array of all children plus one array of start offsets
 per parent.  The labels are then ranked one height level at a time, and the
 witness pairs the breadth-first orders of the two systems.  Peel, ranking
 and walk each run in numpy where a level is wide and in a Python loop where
-it is narrow; the loops read the arrays through memoryviews.
+it is narrow, in one set-up for systems of every size; the loops read the
+arrays through memoryviews.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     level by level, in numpy on the wide levels and in Python on the narrow
     ones, and only the cycle points are walked for the cycles.  The Python
     loops read and write the numpy arrays through memoryviews, so the only
-    lists built hold points that a Python loop visits.
+    lists built hold points that a Python loop visits.  Every system takes
+    this one path: one of fewer than WIDE_LEVEL points has no wide level, so
+    only the Python loops run on it.
     """
-    n = sys.n
-    if n < WIDE_LEVEL:
-        return _small_orbit_structure(sys)
-    f = sys.map
+    n, f = sys.n, sys.map
     indeg = np.bincount(f, minlength=n)
     height = np.zeros(n, dtype=np.int64)
     levels, level = [], np.flatnonzero(indeg == 0)
@@ -211,33 +211,6 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     return _orbit(cycles, memoryview(lab), shapes, children, child_start)
 
 
-def _small_orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
-    """`orbit_structure` with lists in place of numpy arrays.
-
-    Below WIDE_LEVEL points no level can be wide, so numpy would only build
-    arrays to be read back one entry at a time.  Building lists costs less
-    for small n: on random maps this took 22-27 us against 64-74 us with the
-    numpy set-up at n = 5, 46-49 against 88-90 us at n = 16 and 120-156
-    against 155-240 us at n = 63 (on the machine named at WIDE_LEVEL).
-    """
-    n, f = sys.n, sys.map.tolist()
-    indeg = np.bincount(sys.map, minlength=n).tolist()
-    height = [0] * n
-    order = _peel_queue([i for i in range(n) if indeg[i] == 0], f, indeg, height)
-    kids = sorted(order, key=f.__getitem__)
-    start = [0] * (n + 1)
-    for i in order:
-        start[f[i] + 1] += 1
-    start = list(itertools.accumulate(start))
-    points = sorted(range(n), key=height.__getitem__)
-    bounds = [k for k in range(1, n + 1) if k == n or height[points[k]] != height[points[k - 1]]]
-    label, shapes = [0] * n, []
-    _label_levels(points, 0, bounds, kids, start, label, shapes)
-    children = np.array(sorted(kids, key=lambda c: (f[c], label[c])), dtype=np.int64)
-    return _orbit(_walk_cycles(range(n), f, indeg), label, shapes,
-                  children, np.array(start, dtype=np.int64))
-
-
 def _peel(f, level, indeg, height, h):
     """One level of the leaf peel, in numpy: the points that have no
     preimage left once `level` is peeled, in the order in which a queue
@@ -255,10 +228,11 @@ def _peel(f, level, indeg, height, h):
 
 
 def _peel_queue(queue, up, left, height):
-    """Peel leaves from `queue` on: a point joins the queue once all its
-    preimages have, and whatever never joins lies on a cycle.  The queue
+    """Peel leaves from the list `queue` on: a point joins the queue once all
+    its preimages have, and whatever never joins lies on a cycle.  The queue
     runs through the heights in turn, so a point's last child is its
-    tallest.  Returns the queue."""
+    tallest.  `up`, `left` and `height` are memoryviews of the map, of the
+    preimages not yet peeled and of the heights.  Returns the queue."""
     for i in queue:  # grows while it is read
         j = up[i]
         height[j] = height[i] + 1
@@ -269,9 +243,10 @@ def _peel_queue(queue, up, left, height):
 
 
 def _walk_cycles(points, up, left):
-    """The cycles through `points`, taken in order, each walked along `up`
-    from its first point in `points`.  A point lies on a cycle not yet walked
-    exactly when `left` is nonzero there; the walk clears it."""
+    """The cycles through the list `points`, taken in order, each walked
+    along the memoryview `up` from its first point in `points`.  A point lies
+    on a cycle not yet walked exactly when the memoryview `left` is nonzero
+    there; the walk clears it."""
     cycles = []
     for i in points:
         if left[i]:
@@ -285,7 +260,12 @@ def _walk_cycles(points, up, left):
 
 
 def _label_levels(points, lo, bounds, kids, start, label, shapes):
-    """Label the levels points[lo:hi], for hi in bounds in turn, in Python."""
+    """Label the levels points[lo:hi], for hi in bounds in turn, in Python.
+
+    `points`, `kids`, `start` and `label` are memoryviews of the points by
+    height, the CSR children and their offsets, and the labels; `shapes`
+    is the list of shapes so far, which the new levels extend.
+    """
     for hi in bounds:
         if hi - lo == 1:
             i = points[lo]

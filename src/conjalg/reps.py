@@ -95,13 +95,11 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, points=None,
-                  convention: str = "backward") -> float:
-    """Lower bound for the algebra norm: max over base points of ||pi(p)||."""
-    if points is None:
-        points = range(p.system.n)
+def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backward") -> float:
+    """Lower bound for the algebra norm: max over every base point x of
+    ||pi_x(p)|| at truncation N, in the given convention."""
     best = 0.0
-    for x in points:
+    for x in range(p.system.n):
         rep = TruncatedRep(p.system, x, N, convention)
         best = max(best, operator_norm(rep_matrix(rep, p)))
     return best
@@ -130,20 +128,19 @@ def _scaled_power(M: np.ndarray, n: int):
     return R, s
 
 
-def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC, points=None,
-                             convention: str = "backward") -> float:
-    """Gelfand's value max_x ||pi_x(u^N)||^(1/N), computed at truncation N + 1.
+def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC) -> float:
+    """Gelfand's value max_x ||pi_x(u^N)||^(1/N) over every base point x,
+    computed at truncation N + 1 in the backward convention.
 
     The truncated image is the top-left corner of a triangular operator, so
     it is multiplicative: pi(u^N) = pi(u)^N at truncation N + 1.  Each base
     point takes one matrix, one power by repeated squaring with every
-    product rescaled (O(N^3 log N)), and one SVD.
+    product rescaled (O(N^3 log N)), and one SVD.  The forward image is the
+    transpose, which has the same norm, so it would give the same value.
     """
-    if points is None:
-        points = range(u.system.n)
     best = 0.0
-    for x in points:
-        M = rep_matrix(TruncatedRep(u.system, x, N + 1, convention), u)
+    for x in range(u.system.n):
+        M = rep_matrix(TruncatedRep(u.system, x, N + 1), u)
         R, log_scale = _scaled_power(M, N)
         nrm = 0.0 if R is None else operator_norm(R)
         if nrm:

@@ -2,9 +2,10 @@
 
     python tests/scale_check.py
 
-For a random map, a path, a cycle and a star of 10**6 points each, the
-script builds a system a and b = relabel(a, sigma) for a random permutation
-sigma.  It checks that are_conjugate(a, b) returns a witness, which
+For a random map, a path, a cycle, a star, a caterpillar (a path of 5 * 10**5
+points with one leaf on each) and 8 chains hanging on an 8-cycle, of 10**6
+points each, the script builds a system a and b = relabel(a, sigma) for a
+random permutation sigma.  It checks that are_conjugate(a, b) returns a witness, which
 ConjugacyWitness verifies point by point, and that the two canonical forms
 are equal.  It prints the seconds that are_conjugate took on each shape and
 exits 1 if any check fails; the times are reported, never gated.
@@ -34,11 +35,25 @@ def star(n, rng):
     return table
 
 
+def caterpillar(n):
+    """A path n/2 - 1 -> ... -> 1 -> 0, with 0 fixed, and one leaf on each path point."""
+    half = n // 2
+    return np.concatenate([np.maximum(np.arange(half) - 1, 0), np.arange(n - half) % half])
+
+
+def chain_bundle(n, k):
+    """A k-cycle with a chain of about n/k points on each cycle point: i >= k maps to i - k."""
+    points = np.arange(n)
+    return np.where(points < k, (points + 1) % k, points - k)
+
+
 SHAPES = {
     "random": lambda rng: rng.integers(0, N, N),
     "path": lambda rng: np.maximum(np.arange(N) - 1, 0),
     "cycle": lambda rng: (np.arange(N) + 1) % N,
     "star": lambda rng: star(N, rng),
+    "caterpillar": lambda rng: caterpillar(N),
+    "bundle8": lambda rng: chain_bundle(N, 8),
 }
 
 
@@ -52,7 +67,7 @@ def main() -> int:
         witness = are_conjugate(a, b)
         seconds = time.perf_counter() - start
         ok = witness is not None and canonical_form(a) == canonical_form(b)
-        print("%-6s n=%d  are_conjugate %.2f s  %s" % (name, N, seconds, "ok" if ok else "FAILED"),
+        print("%-11s n=%d  are_conjugate %.2f s  %s" % (name, N, seconds, "ok" if ok else "FAILED"),
               flush=True)
         if not ok:
             failed.append(name)

@@ -167,7 +167,7 @@ def test_disk_conjugate(tmp_path, capsys):
     code, report = run(capsys, ["disk", "conjugate", m1, m2])
     assert code == 0
     assert report["conjugate"] is True
-    assert report["max_deviation"] <= 1e-10
+    assert report["deviation_bound"] <= 1e-10
 
     m3 = write_json(tmp_path, "m3.json", {"preset": "blaschke_quarter"})
     e1 = write_json(tmp_path, "e1.json", {"preset": "blaschke_half"})
@@ -192,7 +192,7 @@ def test_disk_near_automorphism_against_itself(tmp_path, capsys):
     code, report = run(capsys, ["disk", "conjugate", m, m])
     assert code == 0
     assert report["conjugate"] is True
-    assert report["max_deviation"] <= 1e-10
+    assert report["deviation_bound"] <= 1e-10
 
 
 # raises MobiusError("conjugated map does not fix infinity") in the normal form

@@ -229,6 +229,42 @@ def test_classify_nonelliptic_nonauto():
     assert cl.multiplier == pytest.approx(0.5)
 
 
+# a fixed automorphism that moves the charts' boundary point 1 off the real axis
+FIXED_GAMMA = mobius_compose(MobiusMap.rotation(cmath.exp(0.4j)), MobiusMap.blaschke(0.3 + 0.2j))
+
+
+def test_classify_parabolic_type_nonauto():
+    # w -> w + B with Im B > 0 on the upper half-plane: one double fixed
+    # point at infinity, so one boundary fixed point in the disk
+    B = 0.5 + 0.7j
+    m = conj(FIXED_GAMMA, conj(HALFPLANE_TO_DISK, MobiusMap(1, B, 0, 1)))
+    cl = classify(m)
+    assert cl.kind == KIND_NONELLIPTIC_NONAUTO
+    assert [loc for _, loc in cl.fixed_points] == ["boundary"]
+    assert cl.distinguished == pytest.approx(mobius_apply(FIXED_GAMMA, 1), abs=1e-9)
+    assert cl.multiplier == pytest.approx(1, abs=1e-9)
+    kind, inv = normal_form(m)
+    assert kind == KIND_NONELLIPTIC_NONAUTO
+    assert inv[0] == "parabolic_type"
+    assert inv[1] == pytest.approx(B / abs(B), abs=1e-9)
+
+
+def test_classify_two_fixed_points_nonauto():
+    # w -> A w + B with A > 1 and Im B > 0: infinity attracts with derivative
+    # 1/A, and B/(1 - A) lies in the lower half-plane, outside the disk
+    A, B = 2.0, 0.3 + 0.5j
+    m = conj(FIXED_GAMMA, conj(HALFPLANE_TO_DISK, MobiusMap(A, B, 0, 1)))
+    cl = classify(m)
+    assert cl.kind == KIND_NONELLIPTIC_NONAUTO
+    assert [loc for _, loc in cl.fixed_points] == ["boundary", "exterior"]
+    assert cl.distinguished == pytest.approx(mobius_apply(FIXED_GAMMA, 1), abs=1e-9)
+    assert cl.multiplier == pytest.approx(1 / A, abs=1e-9)
+    kind, inv = normal_form(m)
+    assert kind == KIND_NONELLIPTIC_NONAUTO
+    assert inv[0] == "two_fixed_points"
+    assert inv[1] == pytest.approx(1 / A, abs=1e-9)
+
+
 def test_classify_rejects_non_disk_map():
     with pytest.raises(NotDiskMapError):
         classify(MobiusMap.dilation(3))

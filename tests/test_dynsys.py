@@ -261,6 +261,27 @@ def cycle_with_chains(n, rng):
     return table
 
 
+def caterpillar(n):
+    """A path n/2 - 1 -> ... -> 1 -> 0, with 0 fixed, and one leaf on each
+    path point: every level above the leaves holds one path point."""
+    half = n // 2
+    return np.concatenate([np.maximum(np.arange(half) - 1, 0), np.arange(n - half) % half])
+
+
+def leafy_broom(n, rng):
+    """A path of n/2 points as in `caterpillar`, and n/2 leaves on random
+    path points: narrow levels with a varying number of leaves."""
+    half = n // 2
+    return np.concatenate([np.maximum(np.arange(half) - 1, 0), rng.integers(0, half, n - half)])
+
+
+def chain_bundle(n, k):
+    """A k-cycle with a chain of about n/k points hanging on each cycle point:
+    point i >= k maps to i - k, so every level holds k points."""
+    points = np.arange(n)
+    return np.where(points < k, (points + 1) % k, points - k)
+
+
 def test_numpy_and_python_levels_agree(monkeypatch):
     """Every level peeled, ranked and walked with numpy, every level in
     Python, or the default mix: the same orbit structure and the same witness."""
@@ -284,6 +305,12 @@ def test_numpy_and_python_levels_agree(monkeypatch):
                       np.maximum(np.arange(n) - 1, 0), cycle_with_chains(n, rng)):
             a = FiniteDynSys(n, table)
             pairs.append((a, relabel(a, rng.permutation(n))))
+    # long runs of narrow levels: one path point with its leaves, or k chain points
+    for n, table in ((1000, caterpillar(1000)), (2000, leafy_broom(2000, rng)),
+                     (1000, chain_bundle(1000, 2)), (2000, chain_bundle(2000, 8)),
+                     (3000, chain_bundle(3000, 32))):
+        a = FiniteDynSys(n, table)
+        pairs.append((a, relabel(a, rng.permutation(n))))
     results = []
     for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
         monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
