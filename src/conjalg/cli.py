@@ -120,7 +120,8 @@ def cmd_norms(args):
         p = skewpoly.SkewPoly.from_json(obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError("bad polynomial JSON: %s" % exc, EXIT_PARSE)
-    sizes = sorted({max(2, args.trunc // 4), max(3, args.trunc // 2), args.trunc})
+    sizes = sorted({min(args.trunc, max(2, args.trunc // 4)),
+                    min(args.trunc, max(3, args.trunc // 2)), args.trunc})
     vals = [reps.norm_estimate(p, N, convention=args.convention) for N in sizes]
     monotone = all(vals[i] <= vals[i + 1] + 1e-9 for i in range(len(vals) - 1))
     return {

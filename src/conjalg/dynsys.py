@@ -10,7 +10,8 @@ per parent.  The labels are then ranked one height level at a time, and the
 witness pairs the breadth-first orders of the two systems.  Peel, ranking
 and walk each run in numpy where a level is wide and in a Python loop where
 it is narrow, in one set-up for systems of every size; the loops read the
-arrays through memoryviews.
+arrays through memoryviews.  The ranking yields labels only; the shape
+table, each label's sorted child labels, is gathered once at the end.
 """
 
 from __future__ import annotations
@@ -113,16 +114,18 @@ def _permutation(sigma, n: int) -> np.ndarray:
 class OrbitStructure:
     """Cycles and in-trees of a system with integer AHU tree labels, ranked by
     height and then by sorted child labels: systems are conjugate iff their
-    `shapes` and `keys` are equal.
+    `keys`, `shapes` and `shape_start` are equal.
 
     The in-tree children are in CSR form: the children of point p are
     `children[child_start[p]:child_start[p + 1]]`, sorted by label and, among
-    equal labels, by the order in which the leaf peel reached them.
+    equal labels, by the order in which the leaf peel reached them.  The shape
+    table too: label l's sorted child labels are `shapes[shape_start[l]:shape_start[l + 1]]`.
     """
 
     cycles: tuple             # cycles sorted by key, each started at its least rotation
     keys: tuple               # per cycle: (length, labels of its points in cycle order)
-    shapes: tuple             # label -> sorted child labels of a tree with that label
+    shapes: np.ndarray        # the sorted child labels of every label, in label order
+    shape_start: np.ndarray   # label -> offset of its shape; labels + 1 entries
     children: np.ndarray      # every non-cycle point, grouped by parent
     child_start: np.ndarray   # point -> offset of its children; n + 1 entries
 
@@ -133,9 +136,9 @@ class OrbitStructure:
     def __eq__(self, other):
         if not isinstance(other, OrbitStructure):
             return NotImplemented
-        return ((self.cycles, self.keys, self.shapes) == (other.cycles, other.keys, other.shapes)
-                and np.array_equal(self.children, other.children)
-                and np.array_equal(self.child_start, other.child_start))
+        return ((self.cycles, self.keys) == (other.cycles, other.keys)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("shapes", "shape_start", "children", "child_start")))
 
 
 def fixed_points(sys: FiniteDynSys) -> set:
@@ -149,14 +152,15 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
 
     Leaves are peeled one height level at a time: in numpy while a level is
     wide, then in a Python queue from the first narrow level on.  One sort
-    of the peel order by parent gives the CSR children, and counting the
-    peel levels gives the points by height, with no sort.  Labels are ranked
-    level by level, in numpy on the wide levels and in Python on the narrow
-    ones, and only the cycle points are walked for the cycles.  The Python
-    loops read and write the numpy arrays through memoryviews, so the only
-    lists built hold points that a Python loop visits.  Every system takes
-    this one path: one of fewer than WIDE_LEVEL points has no wide level, so
-    only the Python loops run on it.
+    of the peel order by parent gives the CSR children, and one sort of the
+    heights gives the points by height.  Labels are ranked level by level,
+    in numpy on the wide levels and in Python on the narrow ones, and only
+    the cycle points are walked for the cycles.  Then one sort puts the
+    children in label order, and one gather of their labels gives the shape
+    table.  The Python loops read and write the numpy arrays through
+    memoryviews, so the only lists built hold points that a Python loop
+    visits.  Every system takes this one path: one of fewer than WIDE_LEVEL
+    points has no wide level, so only the Python loops run on it.
     """
     n, f = sys.n, sys.map
     indeg = np.bincount(f, minlength=n)
@@ -169,20 +173,11 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     levels.append(np.array(_peel_queue(level.tolist(), up, left, memoryview(height)),
                            dtype=np.int64))
     tree = np.concatenate(levels)  # every non-cycle point, in peel order
-    on_cycle = np.flatnonzero(indeg)
-    cycles = _walk_cycles(on_cycle.tolist(), up, left)
+    cycles = _walk_cycles(np.flatnonzero(indeg).tolist(), up, left)
 
-    # the points by height, each level its tree points and then its cycle
-    # points, in any order; the tree points come by height already, so
-    # counting places them
-    tree_height, cycle_height = height[tree], height[on_cycle]
-    tree_count = np.bincount(tree_height, minlength=int(height.max()) + 1)
-    cycle_count = np.bincount(cycle_height, minlength=len(tree_count))
-    by_height = np.empty(n, dtype=np.int64)
-    by_height[np.arange(len(tree)) + (cycle_count.cumsum() - cycle_count)[tree_height]] = tree
-    rise = cycle_height.argsort()
-    by_height[np.arange(len(rise)) + tree_count.cumsum()[cycle_height[rise]]] = on_cycle[rise]
-    counts = tree_count + cycle_count
+    # the points by height; a level's labels do not depend on the order of its points
+    counts = np.bincount(height)
+    by_height = _stable_order(height, len(counts))
     bounds = counts.cumsum().tolist()
 
     # children in CSR form, by parent and then peel order.  Every child sits
@@ -193,22 +188,26 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     children = tree[_stable_order(f[tree], n)]
     child_start = np.zeros(n + 1, dtype=np.int64)
     np.bincount(f[tree], minlength=n).cumsum(out=child_start[1:])
-    shapes, lo = [], 0
+    labels, lo = 0, 0
     wide = int(np.count_nonzero(counts >= WIDE_LEVEL))
     lab = np.zeros(n, dtype=np.int64)
     for hi in bounds[:wide]:
         level = by_height[lo:hi]
         first, stop = child_start[level], child_start[level + 1]
-        rank, level_shapes = _rank_rows(lab[_gather(children, first, stop)], stop - first)
-        lab[level] = rank + len(shapes)
-        shapes.extend(level_shapes)
+        rank = _rank_rows(lab[_gather(children, first, stop)], stop - first)
+        lab[level] = rank + labels
+        labels += int(rank.max()) + 1
         lo = hi
-    _label_levels(memoryview(by_height), lo, bounds[wide:], memoryview(children),
-                  memoryview(child_start), memoryview(lab), shapes)
-    # children by (parent, label, peel order): the order the witness pairs them in
-    children = children[_stable_order(f[children] * len(shapes) + lab[children],
-                                      n * len(shapes))]
-    return _orbit(cycles, memoryview(lab), shapes, children, child_start)
+    labels = _label_levels(memoryview(by_height), lo, bounds[wide:], memoryview(children),
+                           memoryview(child_start), memoryview(lab), labels)
+    # children by (parent, label, peel order), the witness's order; then equal labels
+    # have equal sorted rows of child labels, so one point per label gives the table
+    children = children[_stable_order(f[children] * labels + lab[children], n * labels)]
+    one = np.empty(labels, dtype=np.int64)
+    one[lab] = np.arange(n)
+    first, stop = child_start[one], child_start[one + 1]
+    return _orbit(cycles, memoryview(lab), _gather(lab[children], first, stop),
+                  np.append(0, np.cumsum(stop - first)), children, child_start)
 
 
 def _peel(f, level, indeg, height, h):
@@ -259,29 +258,31 @@ def _walk_cycles(points, up, left):
     return cycles
 
 
-def _label_levels(points, lo, bounds, kids, start, label, shapes):
-    """Label the levels points[lo:hi], for hi in bounds in turn, in Python.
+def _label_levels(points, lo, bounds, kids, start, label, labels):
+    """Label the levels points[lo:hi], for hi in bounds in turn, in Python,
+    with the labels from `labels` on; returns the label count after them.
 
     `points`, `kids`, `start` and `label` are memoryviews of the points by
-    height, the CSR children and their offsets, and the labels; `shapes`
-    is the list of shapes so far, which the new levels extend.
+    height, the CSR children and their offsets, and the labels.  A one-point
+    level holds one shape, so its point takes the next label without a look
+    at its children; a wider level ranks its points' sorted child labels.
     """
     for hi in bounds:
         if hi - lo == 1:
-            i = points[lo]
-            label[i] = len(shapes)
-            shapes.append(tuple(sorted([label[c] for c in kids[start[i]:start[i + 1]]])))
+            label[points[lo]] = labels
+            labels += 1
         else:
             shape = {i: tuple(sorted([label[c] for c in kids[start[i]:start[i + 1]]]))
                      for i in points[lo:hi]}
-            rank = {s: k for k, s in enumerate(sorted(set(shape.values())), len(shapes))}
-            shapes.extend(rank)
+            rank = {s: k for k, s in enumerate(sorted(set(shape.values())), labels)}
+            labels += len(rank)
             for i, s in shape.items():
                 label[i] = rank[s]
         lo = hi
+    return labels
 
 
-def _orbit(cycles, label, shapes, children, child_start) -> OrbitStructure:
+def _orbit(cycles, label, shapes, shape_start, children, child_start) -> OrbitStructure:
     """The OrbitStructure, with each cycle keyed by its least rotation."""
     keyed = []
     for cycle in cycles:
@@ -290,9 +291,9 @@ def _orbit(cycles, label, shapes, children, child_start) -> OrbitStructure:
         keyed.append(((len(cycle), tuple(labels[k:] + labels[:k])),
                       tuple(cycle[k:] + cycle[:k])))
     keys, cycles = zip(*sorted(keyed))
-    children.setflags(write=False)
-    child_start.setflags(write=False)
-    return OrbitStructure(cycles=cycles, keys=keys, shapes=tuple(shapes),
+    for array in (shapes, shape_start, children, child_start):
+        array.setflags(write=False)
+    return OrbitStructure(cycles=cycles, keys=keys, shapes=shapes, shape_start=shape_start,
                           children=children, child_start=child_start)
 
 
@@ -321,13 +322,13 @@ def _rank_rows(vals, size):
 
     Row r is the next size[r] entries of vals, in any order.  Returns each
     row's rank among the level's distinct rows, sorted and compared as
-    tuples, and those distinct sorted rows in rank order.  Rows are compared
-    block by block: blocks of 1, 2, 4, ... labels aligned at the row start,
-    each ranked from its two halves, so the work halves from round to round.
+    tuples.  Rows are compared block by block: blocks of 1, 2, 4, ... labels
+    aligned at the row start, each ranked from its two halves, so the work
+    halves from round to round.
     """
     total = len(vals)
     if not total:  # a level of leaves
-        return np.zeros(len(size), dtype=np.int64), [()]
+        return np.zeros(len(size), dtype=np.int64)
     offset = np.cumsum(size) - size  # row -> start of its labels in `vals`
     row = np.repeat(np.arange(len(size)), size)
     top = int(vals.max()) + 1
@@ -340,21 +341,17 @@ def _rank_rows(vals, size):
         after = np.where(np.append(odd[1:], False), np.append(rank[1:], 0) + 1, 0)
         keep = ~odd
         top = int(rank.max()) + 2
-        rank = _dense_rank((rank * top + after)[keep], top * top)[0]
+        rank = _dense_rank((rank * top + after)[keep], top * top)
         at, first, span = at[keep], first[keep], span * 2
     key = np.zeros(len(size), dtype=np.int64)  # the empty row first
     key[size > 0] = rank + 1
-    rank, rep = _dense_rank(key, int(key.max()) + 1)
-    size = size[rep]  # only the distinct rows go to Python
-    vals = _gather(vals, offset[rep], offset[rep] + size).tolist()
-    ends = np.cumsum(size).tolist()
-    return rank, [tuple(vals[a:b]) for a, b in itertools.pairwise([0] + ends)]
+    return _dense_rank(key, int(key.max()) + 1)
 
 
 def _dense_rank(key, bound):
     """Each entry's rank among the distinct values of key, an int64 array
-    with entries in range(bound), and the first index of each distinct
-    value: what np.unique returns as inverse and index, by a plain sort."""
+    with entries in range(bound): what np.unique returns as inverse, by a
+    plain sort."""
     order = _stable_order(key, bound)
     ordered = key[order]
     new = np.empty(len(key), dtype=bool)
@@ -362,7 +359,7 @@ def _dense_rank(key, bound):
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     rank = np.empty(len(key), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
-    return rank, order[new]
+    return rank
 
 
 def _least_rotation(seq) -> int:
@@ -393,15 +390,16 @@ def canonical_form(sys: FiniteDynSys) -> str:
     tree is `(` its children's trees in label order `)`.
     """
     orbit = orbit_structure(sys)
+    shapes, start = orbit.shapes.tolist(), orbit.shape_start.tolist()
 
     def tree(root):
         out, stack = [], [root]  # labels to open; -1 closes the innermost open tree
         while stack:
             x = stack.pop()
-            out.append("(" if x >= 0 else ")")
-            if x >= 0:
+            out.append("(" if x > 0 else "()" if x == 0 else ")")  # label 0: the empty shape
+            if x > 0:
                 stack.append(-1)
-                stack.extend(reversed(orbit.shapes[x]))
+                stack.extend(reversed(shapes[start[x]:start[x + 1]]))
         return "".join(out)
 
     return ";".join("%d:%s" % (length, "|".join(map(tree, labels)))
@@ -414,7 +412,8 @@ def are_conjugate(a: FiniteDynSys, b: FiniteDynSys):
         return None
     a_orbit = orbit_structure(a)
     b_orbit = orbit_structure(b)
-    if a_orbit.shapes != b_orbit.shapes or a_orbit.keys != b_orbit.keys:
+    if (a_orbit.keys != b_orbit.keys or not np.array_equal(a_orbit.shapes, b_orbit.shapes)
+            or not np.array_equal(a_orbit.shape_start, b_orbit.shape_start)):
         return None
     # equal keys pair the cycles point by point; children are sorted by
     # label, so equal multisets pair up in order, level after level

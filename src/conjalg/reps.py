@@ -138,11 +138,13 @@ def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC) -> float:
     product rescaled (O(N^3 log N)), and one SVD.  The forward image is the
     transpose, which has the same norm, so it would give the same value.
     """
+    if N < 1:
+        raise ValueError("N must be at least 1, not %d" % N)
     best = 0.0
     for x in range(u.system.n):
         M = rep_matrix(TruncatedRep(u.system, x, N + 1), u)
         R, log_scale = _scaled_power(M, N)
-        nrm = 0.0 if R is None else operator_norm(R)
+        nrm = operator_norm(R)
         if nrm:
             best = max(best, math.exp((log_scale + math.log(nrm)) / N))
     return best

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conjalg import diskmaps, dynsys
+from conjalg import diskmaps, dynsys, reps
 from conjalg.cli import main, validate_report
 from conjalg.diskmaps import MobiusMap
 from conjalg.dynsys import ConjugacyWitness, FiniteDynSys, relabel
@@ -101,6 +101,19 @@ def test_norms(tmp_path, capsys):
     assert report["estimate"] == pytest.approx(1.0)
     assert report["monotone_check"] is True
     assert report["estimate"] <= report["l1_norm"] + 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:polynomial degree")
+def test_norms_reports_the_estimate_at_the_truncation_asked(tmp_path, capsys):
+    """At --trunc 1 and 2 the smaller sizes of the monotone check must not
+    exceed the truncation, or the N = 3 value goes out under "N": 1 or 2."""
+    obj = {"system": {"n": 2, "map": [1, 0]}, "coeffs": [[[1, 0], [2, 0]], [[0.5, 0], [0, 1]]]}
+    p = SkewPoly.from_json(obj)
+    path = write_json(tmp_path, "p.json", obj)
+    for trunc in (1, 2):
+        code, report = run(capsys, ["norms", path, "--trunc", str(trunc)])
+        assert code == 0 and report["N"] == trunc
+        assert report["estimate"] == reps.norm_estimate(p, trunc)
 
 
 def test_pencil_check(tmp_path, capsys):

@@ -319,6 +319,30 @@ def test_numpy_and_python_levels_agree(monkeypatch):
     assert results[0] == results[1] == results[2]
 
 
+def test_shape_table_is_a_valid_ahu_table():
+    """The shape table as a certificate check reads it: read-only int64 CSR
+    rows, each ascending and holding only labels below its own, pairwise
+    distinct, in AHU order (by height, then as tuples), with every label of
+    every cycle key inside it."""
+    rng = np.random.default_rng(12)
+    tables = [rng.integers(0, n, n) for n in rng.integers(1, 61, 300)]
+    tables += [caterpillar(1000), leafy_broom(1000, rng), chain_bundle(1000, 8)]
+    for table in tables:
+        orbit = orbit_structure(FiniteDynSys(len(table), table))
+        shapes, start = orbit.shapes, orbit.shape_start
+        for array in (shapes, start):
+            assert array.dtype == np.int64 and not array.flags.writeable
+        assert start[0] == 0 and start[-1] == len(shapes)
+        rows = [tuple(shapes[a:b].tolist()) for a, b in zip(start[:-1], start[1:])]
+        assert len(set(rows)) == len(rows)
+        height = []
+        for label, row in enumerate(rows):
+            assert list(row) == sorted(row) and all(c < label for c in row)
+            height.append(1 + max(height[c] for c in row) if row else 0)
+        assert all((height[k - 1], rows[k - 1]) < (height[k], rows[k]) for k in range(1, len(rows)))
+        assert all(label < len(start) - 1 for _, labels in orbit.keys for label in labels)
+
+
 def test_stable_order_matches_stable_argsort_at_any_scale():
     """The final child sort keys each child by (parent * S + label) and
     appends its position among m children: about n**3, past 2**63 above

@@ -128,6 +128,13 @@ def test_spectral_radius_unit_and_weighted():
     assert spectral_radius_estimate(SkewPoly.shift(one_pt, 2.0), 16) == pytest.approx(2.0)
 
 
+def test_spectral_radius_rejects_a_power_below_one():
+    """N = 0 once gave 0.0 for the unit shift, whose spectral radius is 1."""
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            spectral_radius_estimate(SkewPoly.shift(SWAP), N)
+
+
 def cycle_rho(table, mags):
     """Largest geometric mean of mags around a cycle of the map."""
     best = 0.0
