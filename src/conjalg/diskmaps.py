@@ -4,9 +4,14 @@ Classification into the elliptic / parabolic / hyperbolic families, normal
 forms with their conjugation invariants, and the analytic-conjugacy and
 algebra-isomorphism decisions with explicit automorphism witnesses.
 
+Fixed points come from the stable quadratic formula, with the coefficients
+first divided by their largest modulus so that no square overflows at the
+scales the determinant-one form reaches (|d| = 1e160 for z -> 1e-320 z).
 Each map gets one chart g, in which its normal form is read.  A witness is
 g2^-1 o h o g1 for one affine h(w) = a w + b that commutes with the form,
-chosen by kind, and it is verified once, by a closed-form bound.
+chosen by kind, and it is verified once, by a closed-form bound.  Forms and
+witnesses are raw matrix products, normalised once when the map is built,
+and the verdict path makes no numpy call.
 """
 
 from __future__ import annotations
@@ -60,8 +65,11 @@ def _normalize(a, b, c, d):
         # entry of a map such as (1e-200, 0, 0, 1e200).)
         k = max((_exponent(w) + _exponent(z) for w, z in ((a, d), (b, c)) if w and z),
                 default=0) // 2
-        a, b, c, d = (complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k))
-                      for w in (a, b, c, d))
+        try:
+            a, b, c, d = (complex(math.ldexp(w.real, -k), math.ldexp(w.imag, -k))
+                          for w in (a, b, c, d))
+        except OverflowError:  # such as (1, 1e-311, 1e-309, 0): det 1e-620
+            raise MobiusError("no determinant-one form in floating point") from None
         det = a * d - b * c
     if not cmath.isfinite(det):  # exactly when an entry is NaN or infinite
         raise MobiusError("coefficients must be finite, not NaN or infinite")
@@ -69,6 +77,9 @@ def _normalize(a, b, c, d):
         raise MobiusError("matrix is singular")
     s = cmath.sqrt(det)
     a, b, c, d = a / s, b / s, c / s, d / s
+    # dividing by |s| >= 1 cannot overflow; by a smaller root an entry can
+    if abs(s) < 1 and not all(map(cmath.isfinite, (a, b, c, d))):
+        raise MobiusError("no determinant-one form in floating point")
     # the sign of the root: the trace, or else the first coefficient that is
     # not zero, points into the right half-plane
     lead = a + d
@@ -153,23 +164,29 @@ def mobius_derivative(m: MobiusMap, z: complex) -> complex:
     return 1.0 / (den * den)  # det is one
 
 
-def _product(m1: MobiusMap, m2: MobiusMap):
-    """The matrix product m1 m2 as (a, b, c, d), not normalised."""
-    return (
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+def _entries(m: MobiusMap):
+    return m.a, m.b, m.c, m.d
+
+
+def _adjugate(m: MobiusMap):
+    """(d, -b, -c, a): the inverse of m, as det m is one."""
+    return m.d, -m.b, -m.c, m.a
+
+
+def _product(m1, m2):
+    """The matrix product m1 m2 of two (a, b, c, d) tuples, not normalised."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
 
 
 def mobius_compose(m1: MobiusMap, m2: MobiusMap) -> MobiusMap:
     """The map z -> m1(m2(z))."""
-    return MobiusMap(*_product(m1, m2))
+    return MobiusMap(*_product(_entries(m1), _entries(m2)))
 
 
 def mobius_inverse(m: MobiusMap) -> MobiusMap:
-    return MobiusMap(m.d, -m.b, -m.c, m.a)
+    return MobiusMap(*_adjugate(m))
 
 
 def _image_disk(a, b, c, d):
@@ -211,10 +228,26 @@ _INFINITY = complex("inf")
 
 
 def mobius_fixed_points(m: MobiusMap):
-    """Fixed points in the extended plane, as (value, location) pairs."""
+    """Fixed points in the extended plane, as (value, location) pairs.
+
+    With |c| > TOL they are the roots of A z^2 + B z + C for A = c,
+    B = d - a and C = -b, by the stable quadratic formula: q = -(B + r)/2
+    with r = sqrt(B^2 - 4AC) signed so that Re(conj(B) r) >= 0, which keeps
+    B + r from cancelling, and the roots q/A and C/q.  A, B and C are first
+    divided by their largest modulus: at determinant one an entry can reach
+    1e160, whose square overflows.
+    """
     if abs(m.c) > TOL:
-        roots = np.roots([m.c, m.d - m.a, -m.b])
-        return [(complex(z), _location(complex(z))) for z in roots]
+        A, B, C = m.c, m.d - m.a, -m.b
+        s = max(abs(A), abs(B), abs(C))
+        A, B, C = A / s, B / s, C / s
+        # as ad - bc = 1, B^2 - 4AC = ((a + d)^2 - 4) / s^2: tr^2 - 4, scaled
+        r = cmath.sqrt(B * B - 4 * A * C)
+        if (B.conjugate() * r).real < 0:
+            r = -r
+        q = -(B + r) / 2
+        roots = (q / A, C / q) if q != 0 else (-B / (2 * A),) * 2
+        return [(z, _location(z)) for z in roots]
     pts = []
     if abs(m.d - m.a) > TOL:
         z = m.b / (m.d - m.a)
@@ -325,7 +358,7 @@ def _normal_form(m: MobiusMap, cl: DiskClassification):
         return (float(cl.multiplier.real),), MobiusMap(1, -att, 1, -rep), None
     elliptic = cl.kind in (KIND_ELLIPTIC_AUTO, KIND_ELLIPTIC_NONAUTO)
     g = (MobiusMap.blaschke if elliptic else _halfplane_chart)(cl.distinguished)
-    n = mobius_compose(mobius_compose(g, m), mobius_inverse(g))
+    n = MobiusMap(*_product(_product(_entries(g), _entries(m)), _adjugate(g)))
     if elliptic:
         return (complex(n.a / n.d), abs(-n.c / n.d)), g, n
     if abs(n.c) > INFINITY_BAND:
@@ -389,8 +422,8 @@ def witness_bound(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap) -> float:
     yet with t = +-1 that multiple alone put the bound past WITNESS_TOL on
     witnesses whose deviation is a hundredth of it.
     """
-    L = _product(gamma, m1)
-    R = _product(m2, gamma)
+    L = _product(_entries(gamma), _entries(m1))
+    R = _product(_entries(m2), _entries(gamma))
     disk = _image_disk(*L)
     den = abs(R[3]) - abs(R[2])
     if disk is None or not den > 0:
@@ -447,8 +480,8 @@ def _conjugate(m1: MobiusMap, cl1: DiskClassification,
             # B is real only within TOL of an automorphism, where a translation suffices
             a = B2.imag / B1.imag if min(abs(B1.imag), abs(B2.imag)) > TOL else 1.0
             b = ((B2 - a * B1) / (1 - A1)).real
-    h = MobiusMap(a, b, 0, 1)
-    return _verified(mobius_compose(mobius_inverse(g2), mobius_compose(h, g1)), m1, m2)
+    witness = _product(_adjugate(g2), _product((a, b, 0, 1), _entries(g1)))
+    return _verified(MobiusMap(*witness), m1, m2)
 
 
 VERDICT_CONJUGATE = "Conjugate"

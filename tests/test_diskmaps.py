@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from conjalg import diskmaps
 from conjalg.diskmaps import (
+    BOUNDARY_BAND,
     KIND_ELLIPTIC_AUTO,
     KIND_ELLIPTIC_NONAUTO,
     KIND_HYPERBOLIC,
@@ -32,6 +33,7 @@ from conjalg.diskmaps import (
     mobius_apply,
     mobius_compose,
     mobius_derivative,
+    mobius_fixed_points,
     mobius_inverse,
     normal_form,
     semicrossed_iso_verdict,
@@ -164,6 +166,73 @@ def test_random_automorphisms_pass_closed_form():
         g = random_disk_automorphism(rng)
         assert is_disk_automorphism(g)
         assert maps_disk_to_disk(g)
+
+
+@st.composite
+def scaled_maps(draw):
+    """(u a, v b, c / v, d / u) for a determinant-one (a, b, c, d) with entries
+    up to 5: the map between two diagonal ones, with entries at 1e-160 to 1e160,
+    where a square of an entry overflows."""
+    m = draw(st.builds(mobius_or_skip, complexes, complexes, complexes, complexes))
+    u, v = 10.0 ** draw(st.floats(-160, 160)), 10.0 ** draw(st.floats(-160, 8))
+    return mobius_or_skip(u * m.a, v * m.b, m.c / v, m.d / u)
+
+
+@st.composite
+def maps_with_c_just_above_tol(draw):
+    a = draw(complexes.filter(lambda w: abs(w) >= 0.1))
+    b = draw(complexes)
+    c = TOL * (1 + draw(st.floats(1e-6, 1))) * cmath.exp(1j * draw(angles))
+    return MobiusMap(a, b, c, (1 + b * c) / a)
+
+
+@st.composite
+def near_double_root_maps(draw):
+    """g (w -> w + x) g^-1 for |x| <= 1e-3 and g a disk automorphism after
+    the half-plane chart: a double fixed point on the circle."""
+    x = draw(st.floats(1e-12, 1e-3)) * cmath.exp(1j * draw(angles))
+    g = mobius_compose(draw(disk_automorphisms()), HALFPLANE_TO_DISK)
+    return conj(g, MobiusMap(1, x, 0, 1))
+
+
+EPS = 2.0 ** -52
+
+
+def root_slack(A, B, C, z, gap):
+    """How far a root z of A w^2 + B w + C, at distance gap from the other,
+    moves when the coefficients move by 16 eps relative: the t with
+    |A| t (t + gap) = 16 eps (|A| |z|^2 + |B| |z| + |C|), in units of
+    R = max(1, |z|) so that nothing overflows.  It is eps-sized for separate
+    roots and sqrt(eps)-sized at a double root, where no method does better."""
+    R = max(1.0, abs(z))
+    e = 16 * EPS * (abs(z / R) ** 2 + abs(B / A) / R * abs(z / R) + abs(C / A) / R / R)
+    g = gap / R
+    return R * 2 * e / (g + math.sqrt(g * g + 4 * e)) if e else 0.0
+
+
+@given(st.one_of(scaled_maps(), maps_with_c_just_above_tol(), near_double_root_maps()))
+def test_fixed_points_match_numpy_roots(m):
+    assume(abs(m.c) > TOL)
+    A, B, C = m.c, m.d - m.a, -m.b
+    with np.errstate(all="ignore"):
+        oracle = [complex(z) for z in np.roots([A, B, C])]
+    assume(all(cmath.isfinite(z) for z in oracle))
+    pts = mobius_fixed_points(m)
+    z1, z2 = (z for z, _ in pts)
+    # Vieta, to 1e-9 of the larger root and of the product
+    R = max(1.0, abs(z1), abs(z2))
+    assert abs(z1 + z2 - (m.a - m.d) / m.c) <= 1e-9 * R
+    assert abs(z1 * z2 + m.b / m.c) <= 1e-9 * max(1.0, abs(z1 * z2))
+    # the same multiset as the oracle, to 1e-9 max(1, |z|) beyond the roots'
+    # own sensitivity, and the same locations away from the band's edges
+    if abs(z1 - oracle[0]) + abs(z2 - oracle[1]) > abs(z1 - oracle[1]) + abs(z2 - oracle[0]):
+        oracle.reverse()
+    gap = abs(oracle[0] - oracle[1])
+    for (z, loc), w in zip(pts, oracle):
+        slack = root_slack(A, B, C, w, gap)
+        assert abs(z - w) <= 1e-9 * max(1.0, abs(w)) + slack
+        if abs(abs(abs(w) - 1) - BOUNDARY_BAND) > max(1e-12, slack):
+            assert loc == diskmaps._location(w)
 
 
 def test_classify_rotation():
@@ -360,15 +429,26 @@ def test_hyperbolic_witness_aligns_either_side():
     assert same_side == {True, False}
 
 
-@pytest.mark.parametrize("m", [
-    conj(MobiusMap.blaschke(0.3 + 0.2j), MobiusMap.rotation(cmath.exp(0.7j))),
-    MobiusMap(0.4j, 0, -0.2, 1),                                   # 0.4i z/(1 - 0.2 z)
-    conj(HALFPLANE_TO_DISK, MobiusMap(1, 2, 0, 1)),                # parabolic
-    ETA1,                                                          # hyperbolic
-    MobiusMap(0.5, 0.5, 0, 1),                                     # two fixed points
-    conj(HALFPLANE_TO_DISK, MobiusMap(1, 1 + 1j, 0, 1)),           # parabolic type
-], ids=["elliptic-auto", "elliptic-nonauto", "parabolic", "hyperbolic",
-        "two-fixed-points", "parabolic-type"])
+# one map of each non-identity kind, with a map of the same kind that is not
+# conjugate to it
+KIND_EXAMPLES = [
+    (conj(MobiusMap.blaschke(0.3 + 0.2j), MobiusMap.rotation(cmath.exp(0.7j))),
+     MobiusMap.rotation(cmath.exp(1.9j))),
+    (MobiusMap(0.4j, 0, -0.2, 1),                                  # 0.4i z/(1 - 0.2 z)
+     MobiusMap(0.3j, 0, -0.2, 1)),
+    (conj(HALFPLANE_TO_DISK, MobiusMap(1, 2, 0, 1)),               # parabolic
+     conj(HALFPLANE_TO_DISK, MobiusMap(1, -2, 0, 1))),
+    (ETA1, ETA2),                                                  # hyperbolic
+    (MobiusMap(0.5, 0.5, 0, 1),                                    # two fixed points
+     MobiusMap(0.25, 0.75, 0, 1)),
+    (conj(HALFPLANE_TO_DISK, MobiusMap(1, 1 + 1j, 0, 1)),          # parabolic type
+     conj(HALFPLANE_TO_DISK, MobiusMap(1, 1 + 2j, 0, 1))),
+]
+KIND_IDS = ["elliptic-auto", "elliptic-nonauto", "parabolic", "hyperbolic",
+            "two-fixed-points", "parabolic-type"]
+
+
+@pytest.mark.parametrize("m", [m for m, _ in KIND_EXAMPLES], ids=KIND_IDS)
 def test_one_verification_per_decision(monkeypatch, m):
     calls = []
     verified = diskmaps._verified
@@ -378,6 +458,25 @@ def test_one_verification_per_decision(monkeypatch, m):
     for k in range(20):
         assert analytically_conjugate(m, conj(random_disk_automorphism(rng), m)) is not None
         assert len(calls) == k + 1
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError("numpy called on the verdict path: np.%s" % name)
+
+
+ROTATION = conj(FIXED_GAMMA, MobiusMap.rotation(cmath.exp(0.6j)))
+
+
+@pytest.mark.parametrize("m1, m2, expected", [
+    *((m, conj(FIXED_GAMMA, m), VERDICT_CONJUGATE) for m, _ in KIND_EXAMPLES),
+    *((m, other, VERDICT_NOT_ISOMORPHIC) for m, other in KIND_EXAMPLES),
+    (ROTATION, mobius_inverse(ROTATION), VERDICT_INVERSE),
+], ids=[*(k + "-yes" for k in KIND_IDS), *(k + "-no" for k in KIND_IDS), "rotation-inverse"])
+def test_verdict_path_makes_no_numpy_call(monkeypatch, m1, m2, expected):
+    monkeypatch.setattr(diskmaps, "np", _NoNumpy())
+    assert classify(m1).kind == classify(m2).kind
+    assert semicrossed_iso_verdict(m1, m2)[0] == expected
 
 
 def test_multiplier_invariance_under_conjugation():
@@ -485,6 +584,12 @@ def test_verdict_at_extreme_scale():
     verdict, w = semicrossed_iso_verdict(m, m2)
     assert verdict == VERDICT_CONJUGATE
     assert witness_bound(w, m, m2) <= WITNESS_TOL
+
+
+def test_no_determinant_one_form_is_a_mobius_error():
+    # det = 5e-620: at determinant one the entry a would be about 2e309
+    with pytest.raises(MobiusError):
+        MobiusMap(1j, 2.225073858507e-311j, 2.225073858507203e-309j, 0)
 
 
 def test_radial_square_witness():
