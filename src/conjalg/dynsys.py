@@ -7,11 +7,14 @@ hanging off each cycle point, without recursion.  A leaf peel, one height
 level at a time, gives every point its height.  The in-tree children are
 kept in CSR form: one array of all children plus one array of start offsets
 per parent.  The labels are then ranked one height level at a time, and the
-witness pairs the breadth-first orders of the two systems.  Peel, ranking
-and walk each run in numpy where a level is wide and in a Python loop where
-it is narrow, in one set-up for systems of every size; the loops read the
-arrays through memoryviews.  The ranking yields labels only; the shape
-table, each label's sorted child labels, is gathered once at the end.
+witness pairs the breadth-first orders of the two systems.  The two lowest
+levels, usually the largest, take their labels in closed form: every point
+without children is of the empty shape, and a point all of whose children
+are leaves is ranked by its child count.  Peel, ranking and walk each run
+in numpy where a level is wide and in a Python loop where it is narrow, in
+one set-up for systems of every size; the loops read the arrays through
+memoryviews.  The ranking yields labels only; the shape table, each label's
+sorted child labels, is gathered once at the end.
 """
 
 from __future__ import annotations
@@ -153,13 +156,15 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     Leaves are peeled one height level at a time: in numpy while a level is
     wide, then in a Python queue from the first narrow level on.  One sort
     of the peel order by parent gives the CSR children, and one sort of the
-    heights gives the points by height.  Labels are ranked level by level,
-    in numpy on the wide levels and in Python on the narrow ones, and only
-    the cycle points are walked for the cycles.  Then one sort puts the
-    children in label order, and one gather of their labels gives the shape
-    table.  The Python loops read and write the numpy arrays through
-    memoryviews, so the only lists built hold points that a Python loop
-    visits.  Every system takes this one path: one of fewer than WIDE_LEVEL
+    heights gives the points by height.  Height 0, the points with no
+    children, takes label 0 outright.  The other levels are ranked one by
+    one, in numpy on the wide levels and in Python on the narrow ones; a
+    wide height 1, where every child is a leaf, is ranked by child counts
+    alone.  Only the cycle points are walked for the cycles.  Then one sort
+    puts the children in label order, and one gather of their labels gives
+    the shape table.  The Python loops read and write the numpy arrays
+    through memoryviews, so the only lists built hold points that a Python
+    loop visits.  Every system takes this one path: one of fewer than WIDE_LEVEL
     points has no wide level, so only the Python loops run on it.
     """
     n, f = sys.n, sys.map
@@ -188,13 +193,18 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     children = tree[_stable_order(f[tree], n)]
     child_start = np.zeros(n + 1, dtype=np.int64)
     np.bincount(f[tree], minlength=n).cumsum(out=child_start[1:])
-    labels, lo = 0, 0
-    wide = int(np.count_nonzero(counts >= WIDE_LEVEL))
+    # height 0 holds exactly the points with no children, cycle points too:
+    # all of the empty shape, label 0
+    labels, lo = 1, bounds[0]
+    wide = max(1, int(np.count_nonzero(counts >= WIDE_LEVEL)))
     lab = np.zeros(n, dtype=np.int64)
-    for hi in bounds[:wide]:
+    for hi in bounds[1:wide]:
         level = by_height[lo:hi]
         first, stop = child_start[level], child_start[level + 1]
-        rank = _rank_rows(lab[_gather(children, first, stop)], stop - first)
+        if lo == bounds[0]:  # height 1: every child a leaf, so rows order by length
+            rank = _dense_rank(stop - first, n + 1)
+        else:
+            rank = _rank_rows(lab[_gather(children, first, stop)], stop - first)
         lab[level] = rank + labels
         labels += int(rank.max()) + 1
         lo = hi
@@ -320,15 +330,14 @@ def _gather(values, first, stop):
 def _rank_rows(vals, size):
     """Rank the rows of one level's child labels, in numpy.
 
-    Row r is the next size[r] entries of vals, in any order.  Returns each
-    row's rank among the level's distinct rows, sorted and compared as
-    tuples.  Rows are compared block by block: blocks of 1, 2, 4, ... labels
-    aligned at the row start, each ranked from its two halves, so the work
-    halves from round to round.
+    Row r is the next size[r] entries of vals, in any order, and is not
+    empty: only levels at height 2 or more come here.  Returns each row's
+    rank among the level's distinct rows, sorted and compared as tuples.
+    Rows are compared block by block: blocks of 1, 2, 4, ... labels aligned
+    at the row start, each ranked from its two halves, so the work halves
+    from round to round; after the last round each row is one block.
     """
     total = len(vals)
-    if not total:  # a level of leaves
-        return np.zeros(len(size), dtype=np.int64)
     offset = np.cumsum(size) - size  # row -> start of its labels in `vals`
     row = np.repeat(np.arange(len(size)), size)
     top = int(vals.max()) + 1
@@ -343,9 +352,9 @@ def _rank_rows(vals, size):
         top = int(rank.max()) + 2
         rank = _dense_rank((rank * top + after)[keep], top * top)
         at, first, span = at[keep], first[keep], span * 2
-    key = np.zeros(len(size), dtype=np.int64)  # the empty row first
-    key[size > 0] = rank + 1
-    return _dense_rank(key, int(key.max()) + 1)
+    if span == 1:  # rows of one label each: no round ranked them
+        return _dense_rank(rank, top)
+    return rank
 
 
 def _dense_rank(key, bound):
@@ -426,10 +435,12 @@ def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
     """Every point: the cycles in order, then level after level of their
     in-trees, each point's children in CSR order.
 
-    A narrow queue is read point by point in Python until what it holds
-    unread is wide; a wide one is expanded a whole stretch at a time in
-    numpy.  A stretch need not be one level: whatever sits in the queue
-    comes out before its children, in order, either way.
+    A narrow queue is read point by point in Python until a point's
+    children would make what it holds unread wide; that run of children
+    joins the unread points as an array, uncopied through a list.  A wide
+    queue is expanded a whole stretch at a time in numpy.  A stretch need
+    not be one level: whatever sits in the queue comes out before its
+    children, in order, either way.
     """
     children, child_start = orbit.children, orbit.child_start
     kids, start = memoryview(children), memoryview(child_start)
@@ -441,16 +452,17 @@ def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
                 a, b = start[x], start[x + 1]
                 if b - a == 1:
                     queue.append(kids[a])
+                elif len(queue) - i + b - a > WIDE_LEVEL:  # len(queue) - i - 1 + b - a unread
+                    break
                 elif a < b:
                     queue += kids[a:b].tolist()
-                    if len(queue) - i > WIDE_LEVEL:
-                        break
             else:
                 done.append(queue)
                 break
             done.append(queue[:i + 1])
-            queue = queue[i + 1:]
-        queue = np.array(queue, dtype=np.int64)
+            queue = np.concatenate([np.array(queue[i + 1:], dtype=np.int64), children[a:b]])
+        else:
+            queue = np.array(queue, dtype=np.int64)
         while len(queue) >= WIDE_LEVEL:
             done.append(queue)
             queue = _gather(children, child_start[queue], child_start[queue + 1])

@@ -282,6 +282,20 @@ def chain_bundle(n, k):
     return np.where(points < k, (points + 1) % k, points - k)
 
 
+def hub_star(leaves):
+    """A fixed centre 0 with one hub per entry of `leaves`: hub h + 1 maps to
+    0 and carries leaves[h] leaves, so every hub sits at height 1."""
+    k = len(leaves)
+    return np.concatenate([np.zeros(k + 1, dtype=np.int64), np.repeat(np.arange(1, k + 1), leaves)])
+
+
+def leafy_cycle(leaves):
+    """A cycle of len(leaves) points whose point i carries leaves[i] leaves:
+    cycle points with leaves sit at height 1, the others at height 0."""
+    m = len(leaves)
+    return np.concatenate([(np.arange(m) + 1) % m, np.repeat(np.arange(m), leaves)])
+
+
 def test_numpy_and_python_levels_agree(monkeypatch):
     """Every level peeled, ranked and walked with numpy, every level in
     Python, or the default mix: the same orbit structure and the same witness."""
@@ -311,6 +325,19 @@ def test_numpy_and_python_levels_agree(monkeypatch):
                      (3000, chain_bundle(3000, 32))):
         a = FiniteDynSys(n, table)
         pairs.append((a, relabel(a, rng.permutation(n))))
+    # a wide height 1, ranked by child counts: hubs with equal and with distinct
+    # leaf counts, and cycle points carrying only leaves beside childless ones.
+    # Then child runs that make the walk's unread queue wide, or just fail to:
+    # the root's run with no other point unread, the middle point of a 3-cycle
+    # with one, and a hub's run with the root's other w - 2 children unread
+    w = dynsys.WIDE_LEVEL
+    tables = [hub_star([3] * 70), hub_star(np.arange(1, 71)), leafy_cycle(rng.integers(0, 4, 200))]
+    tables += [leafy_cycle([k]) for k in (w - 1, w)]
+    tables += [leafy_cycle([0, k, 1]) for k in (w - 2, w - 1)]
+    tables += [hub_star([2] * (w - 1)), hub_star([2] * w)]
+    for table in tables:
+        a = FiniteDynSys(len(table), table)
+        pairs.append((a, relabel(a, rng.permutation(len(table)))))
     results = []
     for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
         monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
@@ -327,6 +354,9 @@ def test_shape_table_is_a_valid_ahu_table():
     rng = np.random.default_rng(12)
     tables = [rng.integers(0, n, n) for n in rng.integers(1, 61, 300)]
     tables += [caterpillar(1000), leafy_broom(1000, rng), chain_bundle(1000, 8)]
+    # the closed-form bottom levels: stars, wide hub levels, childless cycle points
+    tables += [star(n, rng) for n in (100, 1000, 3000)] + [rng.permutation(100)]
+    tables += [hub_star([3] * 70), hub_star(np.arange(1, 71)), leafy_cycle(rng.integers(0, 4, 200))]
     for table in tables:
         orbit = orbit_structure(FiniteDynSys(len(table), table))
         shapes, start = orbit.shapes, orbit.shape_start
