@@ -2,11 +2,12 @@
 
 Every point x carries the evaluation character p -> E_0(p)(x).  Over a fixed
 point of the map there is in addition a full disc of characters
-p -> sum_n E_n(p)(x) z^n, one for each |z| below the spectral radius.
+p -> sum_n E_n(p)(x) z^n, one for each z in the closed unit disc.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dynsys import ConjugacyWitness, FiniteDynSys, fixed_points
@@ -21,12 +22,12 @@ class CharacterError(ValueError):
 
 @dataclass(frozen=True)
 class Character:
-    """theta_{x,z}: evaluation of the power series at point x, parameter z."""
+    """theta_{x,z}: evaluation of the power series at point x, parameter z
+    in the closed unit disc."""
 
     system: FiniteDynSys
     point: int
     disc_param: complex = 0.0
-    radius: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.point < self.system.n:
@@ -36,8 +37,8 @@ class Character:
             raise CharacterError(
                 "nonzero disc parameter is only allowed over a fixed point"
             )
-        if abs(z) > self.radius + TOL:
-            raise CharacterError("disc parameter outside the character disc")
+        if not abs(z) <= 1 + TOL:  # NaN fails this too
+            raise CharacterError("disc parameter outside the closed unit disc")
 
 
 def eval_character(ch: Character, p: SkewPoly) -> complex:
@@ -78,8 +79,8 @@ class CharacterCatalog:
 
 def build_catalog(sys: FiniteDynSys, r: float = 1.0) -> CharacterCatalog:
     """One disc of radius r per fixed point, a single character elsewhere."""
-    if r <= 0:
-        raise CharacterError("disc radius must be positive")
+    if not (math.isfinite(r) and r > 0):
+        raise CharacterError("disc radius must be positive and finite")
     fixed = fixed_points(sys)
     entries = tuple(
         CatalogEntry(i, "disc", r) if i in fixed else CatalogEntry(i, "point")

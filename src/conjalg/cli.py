@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -105,11 +106,7 @@ def cmd_canon(args):
 
 def cmd_char_space(args):
     sys_ = _load_system(args.system)
-    try:
-        catalog = charspace.build_catalog(sys_, args.radius)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION)
-    report = catalog.to_json()
+    report = charspace.build_catalog(sys_, args.radius).to_json()
     report["command"] = "char-space"
     return report
 
@@ -122,13 +119,12 @@ def cmd_norms(args):
         raise CliError("bad polynomial JSON: %s" % exc, EXIT_PARSE)
     sizes = sorted({min(args.trunc, max(2, args.trunc // 4)),
                     min(args.trunc, max(3, args.trunc // 2)), args.trunc})
-    vals = [reps.norm_estimate(p, N, convention=args.convention) for N in sizes]
+    vals = [reps.norm_estimate(p, N) for N in sizes]
     monotone = all(vals[i] <= vals[i + 1] + 1e-9 for i in range(len(vals) - 1))
     return {
         "command": "norms",
         "estimate": vals[-1],
         "N": args.trunc,
-        "convention": args.convention,
         "l1_norm": skewpoly.l1_norm(p),
         "monotone_check": monotone,
     }
@@ -140,7 +136,7 @@ def cmd_pencil_check(args):
         raise CliError("base point %d out of range(%d)" % (args.x, sys_.n), EXIT_PARSE)
     z = complex(args.z_re, args.z_im)
     try:
-        rep = reps.build_pencil(sys_, args.x, z, args.radius)
+        rep = reps.build_pencil(sys_, args.x, z)
     except reps.NestRepError as exc:
         raise CliError("%s: %s" % (exc.code, exc), EXIT_PRECONDITION)
     except ValueError as exc:  # a NaN or infinite z
@@ -230,8 +226,8 @@ def _positive_int(value):
 
 def _positive_float(value):
     v = float(value)
-    if v <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return v
 
 
@@ -260,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", help="truncated operator norm estimate")
     p.add_argument("poly")
     p.add_argument("--trunc", type=_positive_int, default=reps.DEFAULT_TRUNC)
-    p.add_argument("--convention", choices=("forward", "backward"),
-                   default="backward")
     p.set_defaults(fn=cmd_norms)
 
     p = sub.add_parser("pencil-check", help="pencil homomorphism check")
@@ -269,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x", type=int)
     p.add_argument("--z-re", type=float, default=0.5)
     p.add_argument("--z-im", type=float, default=0.0)
-    p.add_argument("--radius", type=_positive_float, default=1.0)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--tolerance", type=_positive_float, default=1e-12)
     p.add_argument("--seed", type=int, default=default_seed)

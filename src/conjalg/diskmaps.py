@@ -47,10 +47,6 @@ class NotDiskMapError(MobiusError):
     pass
 
 
-class NotDecidableError(MobiusError):
-    """Conjugacy of non-Mobius elliptic homeomorphisms is not decided here."""
-
-
 def _exponent(w: complex) -> int:
     return math.frexp(max(abs(w.real), abs(w.imag)))[1]
 
@@ -494,7 +490,8 @@ def semicrossed_iso_verdict(m1: MobiusMap, m2: MobiusMap):
 
     The inverse branch applies only to elliptic automorphisms, where the
     algebra remembers the map up to inversion; everywhere else isomorphism
-    forces plain analytic conjugacy.
+    forces plain analytic conjugacy.  Each map is classified once: m2^-1
+    fixes the points m2 fixes, with the reciprocal multiplier.
     """
     cl1 = classify(m1)
     cl2 = classify(m2)
@@ -502,18 +499,8 @@ def semicrossed_iso_verdict(m1: MobiusMap, m2: MobiusMap):
     if w is not None:
         return VERDICT_CONJUGATE, w
     if cl1.kind == KIND_ELLIPTIC_AUTO and cl2.kind == KIND_ELLIPTIC_AUTO:
-        m2_inv = mobius_inverse(m2)
-        w = _conjugate(m1, cl1, m2_inv, classify(m2_inv))
+        cl2_inv = DiskClassification(cl2.kind, cl2.fixed_points, 1 / cl2.multiplier)
+        w = _conjugate(m1, cl1, mobius_inverse(m2), cl2_inv)
         if w is not None:
             return VERDICT_INVERSE, w
     return VERDICT_NOT_ISOMORPHIC, None
-
-
-def iso_verdict_general(map1, map2):
-    """Verdict entry point that refuses non-Mobius inputs."""
-    if not isinstance(map1, MobiusMap) or not isinstance(map2, MobiusMap):
-        raise NotDecidableError(
-            "conjugacy of general analytic self-maps is not decided; "
-            "supply Mobius maps or use verify_conjugacy_witness"
-        )
-    return semicrossed_iso_verdict(map1, map2)

@@ -172,13 +172,13 @@ class PencilRep:
 
     Values come from the closed-form series: the (1,1) entry is E_0 at x,
     the (1,2) entry sums E_n at x weighted by z^n for n >= 1, and the
-    (2,2) entry is the full series at the fixed point eta(x).
+    (2,2) entry is the full series at the fixed point eta(x).  The parameter
+    z lies in the open unit disc.
     """
 
     system: FiniteDynSys
     x: int
     z: complex
-    radius: float = 1.0
 
     kind = "pencil"
 
@@ -204,7 +204,8 @@ class FixedDerivativeRep:
 
     Functions act as f -> [[f(x), a f'(x)], [0, f(x)]] and the shift as
     [[c z, 0], [0, z]] where c is the multiplier of the map at x.  The
-    free (1,2) entry of the shift image is pinned to 0.
+    free (1,2) entry of the shift image is pinned to 0.  `apply_function`
+    takes f together with its derivative f'.
     """
 
     fixed_point: complex
@@ -214,14 +215,9 @@ class FixedDerivativeRep:
 
     kind = "fixed_derivative"
 
-    def apply_function(self, f, fprime=None) -> np.ndarray:
+    def apply_function(self, f, fprime) -> np.ndarray:
         x = complex(self.fixed_point)
-        if fprime is None:
-            h = 1e-6
-            d = (f(x + h) - f(x - h)) / (2 * h)
-        else:
-            d = fprime(x)
-        return np.array([[f(x), self.a * d], [0.0, f(x)]], dtype=complex)
+        return np.array([[f(x), self.a * fprime(x)], [0.0, f(x)]], dtype=complex)
 
     def shift_matrix(self) -> np.ndarray:
         return np.array(
@@ -245,7 +241,7 @@ def build_offfixed(sys: FiniteDynSys, x: int) -> OffFixedRep:
     return OffFixedRep(sys, x)
 
 
-def build_pencil(sys: FiniteDynSys, x: int, z, radius: float = 1.0) -> PencilRep:
+def build_pencil(sys: FiniteDynSys, x: int, z) -> PencilRep:
     if not 0 <= x < sys.n:
         raise ValueError("base point out of range")
     if not cmath.isfinite(complex(z)):
@@ -255,17 +251,18 @@ def build_pencil(sys: FiniteDynSys, x: int, z, radius: float = 1.0) -> PencilRep
         raise NotPreperiodicError(
             "pencil base point needs eta(x) != x and eta(eta(x)) = eta(x)"
         )
-    if abs(complex(z)) >= radius:
-        raise OnBoundaryError("pencil parameter must lie strictly inside the disc")
-    return PencilRep(sys, x, complex(z), radius)
+    if not abs(complex(z)) < 1:
+        raise OnBoundaryError("pencil parameter must lie strictly inside the unit disc")
+    return PencilRep(sys, x, complex(z))
 
 
-def build_fixed_derivative(fixed_point, multiplier, z, a,
-                           radius: float = 1.0) -> FixedDerivativeRep:
+def build_fixed_derivative(fixed_point, multiplier, z, a) -> FixedDerivativeRep:
+    if not (cmath.isfinite(complex(z)) and cmath.isfinite(complex(a))):
+        raise ValueError("z and a must be finite, not NaN or infinite")
     if a == 0:
         raise NestRepError("off-diagonal scale a must be nonzero")
-    if abs(complex(z)) >= radius:
-        raise OnBoundaryError("parameter must lie strictly inside the disc")
+    if not abs(complex(z)) < 1:
+        raise OnBoundaryError("parameter must lie strictly inside the unit disc")
     return FixedDerivativeRep(complex(fixed_point), complex(multiplier),
                               complex(z), complex(a))
 
@@ -278,7 +275,7 @@ def extract_characters(nr):
     if nr.kind == "pencil":
         y = nr.system.map[nr.x]
         return (
-            Character(nr.system, nr.x, 0.0, nr.radius),
-            Character(nr.system, y, nr.z, nr.radius),
+            Character(nr.system, nr.x, 0.0),
+            Character(nr.system, y, nr.z),
         )
     raise NestRepError("no finite-system characters for kind %r" % (nr.kind,))

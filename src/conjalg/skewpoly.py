@@ -128,19 +128,6 @@ def skew_scale(c, p: SkewPoly) -> SkewPoly:
     return SkewPoly.make(p.system, [complex(c) * v for v in p.coeffs])
 
 
-def iterate_table(system: FiniteDynSys, k: int) -> np.ndarray:
-    """Index table of eta^{(k)}."""
-    t = np.arange(system.n)
-    for _ in range(k):
-        t = system.map[t]
-    return t
-
-
-def compose_map(system: FiniteDynSys, values: np.ndarray, k: int) -> np.ndarray:
-    """The coefficient vector of f o eta^{(k)}."""
-    return np.asarray(values, dtype=complex)[iterate_table(system, k)]
-
-
 def skew_mul(p: SkewPoly, q: SkewPoly) -> SkewPoly:
     """Product under U f = (f o eta) U.
 

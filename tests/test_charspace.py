@@ -28,6 +28,12 @@ def test_character_invariant():
         Character(IDENTITY2, 5, 0.0)
 
 
+@pytest.mark.parametrize("z", [complex("nan"), complex("nan+nanj"), complex("inf"), 1j * float("inf")])
+def test_character_rejects_non_finite_parameter(z):
+    with pytest.raises(CharacterError):
+        Character(IDENTITY2, 0, z)  # over a fixed point
+
+
 def test_eval_shift_term():
     # theta_{x,z}(gU) = g(x) z at a fixed point
     g = SkewPoly.monomial(IDENTITY2, [3, 7], 1)
@@ -74,8 +80,9 @@ def test_build_catalog():
     assert [e.kind for e in cat.entries] == ["point", "point"]
     cat = build_catalog(CHAIN, 1.0)
     assert [e.kind for e in cat.entries] == ["disc", "point", "point"]
-    with pytest.raises(CharacterError):
-        build_catalog(SWAP, 0.0)
+    for r in (0.0, float("nan"), float("inf")):
+        with pytest.raises(CharacterError):
+            build_catalog(SWAP, r)
 
 
 def test_catalog_equal():

@@ -309,6 +309,23 @@ def test_disk_verify_witness_rejects_nan_matrix(tmp_path, capsys):
     assert_clean_failure(capsys, code, 2, "finite")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["char-space", "{s}", "--radius"],
+    ["pencil-check", "{s}", "1", "--tolerance"],
+    ["disk", "verify-witness", "identity", "{m}", "{m}", "--tolerance"],
+], ids=["char-space-radius", "pencil-check-tolerance", "verify-witness-tolerance"])
+def test_positive_options_reject_non_finite_values(tmp_path, capsys, command, value):
+    files = {"{s}": write_json(tmp_path, "s.json", {"n": 3, "map": [0, 0, 1]}),
+             "{m}": write_json(tmp_path, "m.json", {"preset": "blaschke_half"})}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(word, word) for word in command] + [value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be positive and finite" in captured.err and "Traceback" not in captured.err
+
+
 def test_norms_rejects_nan_coefficient(tmp_path, capsys):
     obj = SkewPoly.monomial(FiniteDynSys(2, (1, 0)), [1, 1], 1).to_json()
     obj["coeffs"][-1][0] = [float("nan"), 0.0]

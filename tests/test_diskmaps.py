@@ -21,14 +21,12 @@ from conjalg.diskmaps import (
     WITNESS_TOL,
     MobiusError,
     MobiusMap,
-    NotDecidableError,
     NotDiskMapError,
     PoleError,
     analytically_conjugate,
     classify,
     disk_samples,
     is_disk_automorphism,
-    iso_verdict_general,
     maps_disk_to_disk,
     mobius_apply,
     mobius_compose,
@@ -479,6 +477,23 @@ def test_verdict_path_makes_no_numpy_call(monkeypatch, m1, m2, expected):
     assert semicrossed_iso_verdict(m1, m2)[0] == expected
 
 
+@pytest.mark.parametrize("m1, m2, expected", [
+    (KIND_EXAMPLES[0][0], conj(FIXED_GAMMA, KIND_EXAMPLES[0][0]), VERDICT_CONJUGATE),
+    (ROTATION, mobius_inverse(ROTATION), VERDICT_INVERSE),
+    (*KIND_EXAMPLES[0], VERDICT_NOT_ISOMORPHIC),
+], ids=["conjugate", "inverse", "not-isomorphic"])
+def test_one_classification_per_map(monkeypatch, m1, m2, expected):
+    """m2^-1 takes its classification from m2's, also in the inverse branch."""
+    calls = []
+    classified = diskmaps.classify
+    monkeypatch.setattr(diskmaps, "classify",
+                        lambda m: calls.append(m) or classified(m))
+    verdict, w = semicrossed_iso_verdict(m1, m2)
+    assert verdict == expected and len(calls) == 2
+    if verdict == VERDICT_INVERSE:
+        assert witness_bound(w, m1, mobius_inverse(m2)) <= WITNESS_TOL
+
+
 def test_multiplier_invariance_under_conjugation():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -612,11 +627,6 @@ def test_cayley_dilation_witness():
     dev2 = verify_conjugacy_witness(
         cayley, ETA2, MobiusMap.dilation(3 / 5), disk_samples(1000, seed=8))
     assert max(dev1, dev2) <= 1e-10
-
-
-def test_iso_verdict_general_refuses_point_maps():
-    with pytest.raises(NotDecidableError):
-        iso_verdict_general(lambda z: z / 2, MobiusMap.dilation(0.5))
 
 
 def test_preset_json():

@@ -277,6 +277,13 @@ def test_fixed_derivative_rep():
         build_fixed_derivative(0.0, 0.5, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("z, a", [(float("nan"), 1.0), (0.2, float("nan")),
+                                  (complex("inf"), 1.0), (0.2, complex("-infj"))])
+def test_fixed_derivative_rejects_non_finite_parameters(z, a):
+    with pytest.raises(ValueError, match="finite"):
+        build_fixed_derivative(0.1, 0.5, z, a)
+
+
 def test_fixed_derivative_function_product():
     rep = build_fixed_derivative(0.3 + 0.1j, 0.5, 0.2, 1.5)
     f = lambda w: w * w + 1
