@@ -158,10 +158,15 @@ def cmd_pencil_check(args):
     }
 
 
+def normal_form(m, cl):
+    """The invariants of m, read from its classification cl."""
+    return diskmaps._normal_form(m, cl)[0]
+
+
 def cmd_disk_classify(args):
     m = _load_mobius(args.map)
     cl = _decide(diskmaps.classify, m)
-    kind, inv = _decide(diskmaps.normal_form, m)
+    inv = _decide(normal_form, m, cl)
     report = cl.to_json()
     report["command"] = "disk-classify"
     report["normal_form"] = [

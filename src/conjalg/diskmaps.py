@@ -86,6 +86,13 @@ def _normalize(a, b, c, d):
     return a, b, c, d
 
 
+def _json_complex(re, im=0) -> complex:
+    """complex(re, im) from JSON numbers; a boolean is not a number."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise MobiusError("coefficients must be numbers, not booleans")
+    return complex(re, im)
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """z -> (az + b)/(cz + d), stored with determinant one."""
@@ -129,16 +136,17 @@ class MobiusMap:
         if "preset" in obj:
             name = obj["preset"]
             if name == "rotation":
-                return cls.rotation(complex(*obj["c"]))
+                return cls.rotation(_json_complex(*obj["c"]))
             if name == "dilation":
-                return cls.dilation(complex(*obj["lambda"]))
+                return cls.dilation(_json_complex(*obj["lambda"]))
             if name == "blaschke_half":
                 return cls(1, -0.5, -0.5, 1)
             if name == "blaschke_quarter":
                 return cls(1, -0.25, -0.25, 1)
             raise MobiusError("unknown preset %r" % (name,))
         (ar, ai), (br, bi), (cr, ci), (dr, di) = obj["matrix"]
-        return cls(complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di))
+        return cls(_json_complex(ar, ai), _json_complex(br, bi),
+                   _json_complex(cr, ci), _json_complex(dr, di))
 
     def to_json(self):
         return {

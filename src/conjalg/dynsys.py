@@ -55,6 +55,8 @@ class FiniteDynSys:
     map: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool):  # operator.index takes True as 1
+            raise SystemError_("n must be an integer, not a boolean")
         try:
             n = operator.index(self.n)
         except TypeError as exc:
@@ -62,7 +64,7 @@ class FiniteDynSys:
         table = np.asarray(self.map)
         if n < 1 or table.shape != (n,):
             raise SystemError_("map must be a table of n >= 1 entries")
-        if table.dtype.kind not in "iub":  # floats, strings, None and ints beyond int64 fail
+        if table.dtype.kind not in "iu":  # floats, bools, strings, None, ints beyond int64 fail
             raise SystemError_("map entries must be integers, not %s" % table.dtype)
         table = table.astype(np.int64)  # a copy: the caller keeps their array
         if table.view(np.uint64).max() >= n:  # a negative entry reads as 2**63 or more
@@ -83,7 +85,11 @@ class FiniteDynSys:
     def from_json(cls, obj) -> "FiniteDynSys":
         if not isinstance(obj, dict) or "n" not in obj or "map" not in obj:
             raise SystemError_('system JSON must be {"n": int, "map": [...]}')
-        return cls(obj["n"], obj["map"])
+        table = obj["map"]
+        # numpy reads a mixed list such as [true, 1] as integers
+        if isinstance(table, list) and any(isinstance(v, bool) for v in table):
+            raise SystemError_("map entries must be integers, not booleans")
+        return cls(obj["n"], table)
 
     def to_json(self):
         return {"n": self.n, "map": self.map.tolist()}

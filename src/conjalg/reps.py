@@ -66,6 +66,16 @@ class TruncatedRep:
         return out
 
 
+def _warn_if_truncated(p: SkewPoly, N: int):
+    """Warn, on behalf of the caller's caller, when deg p >= truncation N."""
+    if p.degree >= N:
+        warnings.warn(
+            "polynomial degree %d >= truncation %d; edge effects dominate"
+            % (p.degree, N),
+            stacklevel=3,
+        )
+
+
 def rep_matrix(rep: TruncatedRep, p: SkewPoly) -> np.ndarray:
     """Image of p under the truncated shift representation.
 
@@ -77,12 +87,7 @@ def rep_matrix(rep: TruncatedRep, p: SkewPoly) -> np.ndarray:
     if p.system != rep.system:
         raise SystemMismatchError("polynomial lives over a different system")
     N = rep.trunc
-    if p.degree >= N:
-        warnings.warn(
-            "polynomial degree %d >= truncation %d; edge effects dominate"
-            % (p.degree, N),
-            stacklevel=2,
-        )
+    _warn_if_truncated(p, N)
     orbit = np.array(rep.orbit())
     rows = np.arange(N)
     M = np.zeros((N, N), dtype=complex)
@@ -133,13 +138,25 @@ def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC) -> float:
     computed at truncation N + 1 in the backward convention.
 
     The truncated image is the top-left corner of a triangular operator, so
-    it is multiplicative: pi(u^N) = pi(u)^N at truncation N + 1.  Each base
-    point takes one matrix, one power by repeated squaring with every
+    it is multiplicative: pi(u^N) = pi(u)^N at truncation N + 1.  When u has
+    no constant term its image is strictly upper triangular, and the N-th
+    power has one nonzero entry, the corner prod_{j<N} f_1(eta^j x): the
+    value is the largest geometric mean of |f_1| along the first N orbit
+    points, summed in logs (O(N) per base point, no matrix).  Otherwise each
+    base point takes one matrix, one power by repeated squaring with every
     product rescaled (O(N^3 log N)), and one SVD.  The forward image is the
     transpose, which has the same norm, so it would give the same value.
     """
     if N < 1:
         raise ValueError("N must be at least 1, not %d" % N)
+    if u.is_zero():
+        return 0.0
+    if not np.any(u.coeffs[0]):
+        _warn_if_truncated(u, N + 1)
+        logs = [math.log(a) if a else -math.inf for a in np.abs(u.coeffs[1]).tolist()]
+        top = max(sum(map(logs.__getitem__, TruncatedRep(u.system, x, N).orbit()))
+                  for x in range(u.system.n))
+        return math.exp(top / N)  # 0.0 if every orbit meets a zero of f_1 within N steps
     best = 0.0
     for x in range(u.system.n):
         M = rep_matrix(TruncatedRep(u.system, x, N + 1), u)

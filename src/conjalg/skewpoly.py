@@ -32,6 +32,13 @@ def _as_coef(system: FiniteDynSys, values) -> np.ndarray:
     return v
 
 
+def _json_complex(re, im) -> complex:
+    """complex(re, im) from JSON numbers; a boolean is not a number."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("coefficients must be numbers, not booleans")
+    return complex(re, im)
+
+
 @dataclass(frozen=True)
 class SkewPoly:
     """sum_k coeffs[k] U^k; trailing zero coefficients are stripped."""
@@ -96,7 +103,7 @@ class SkewPoly:
         if system is None:
             system = FiniteDynSys.from_json(obj["system"])
         coeffs = [
-            np.array([complex(re, im) for re, im in layer]) for layer in obj["coeffs"]
+            np.array([_json_complex(re, im) for re, im in layer]) for layer in obj["coeffs"]
         ]
         return cls.make(system, coeffs)
 

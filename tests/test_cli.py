@@ -150,6 +150,16 @@ def test_disk_classify(tmp_path, capsys):
     assert report["normal_form"][0] == pytest.approx([1 / 3, 0])
 
 
+def test_disk_classify_classifies_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    classified = diskmaps.classify
+    monkeypatch.setattr(diskmaps, "classify", lambda m: calls.append(m) or classified(m))
+    m = write_json(tmp_path, "m.json", {"preset": "blaschke_half"})
+    code, report = run(capsys, ["disk", "classify", m])
+    assert code == 0 and report["kind"] == "hyperbolic"
+    assert len(calls) == 1
+
+
 def test_disk_classify_precondition(tmp_path, capsys):
     m = write_json(tmp_path, "m.json", {"preset": "dilation", "lambda": [3, 0]})
     code, _ = run(capsys, ["disk", "classify", m])
@@ -324,6 +334,19 @@ def test_positive_options_reject_non_finite_values(tmp_path, capsys, command, va
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be positive and finite" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, obj", [
+    (["finite", "{f}", "{f}"], {"n": 2, "map": [True, False]}),
+    (["canon", "{f}"], {"n": True, "map": [0]}),
+    (["canon", "{f}"], {"n": 2, "map": [True, 1]}),
+    (["norms", "{f}"], {"system": {"n": 1, "map": [0]}, "coeffs": [[[True, 0]]]}),
+    (["disk", "classify", "{f}"], {"matrix": [[True, 0], [0, 0], [0, 0], [1, 0]]}),
+], ids=["map", "n", "mixed-map", "coefficient", "mobius"])
+def test_booleans_are_not_numbers(tmp_path, capsys, command, obj):
+    path = write_json(tmp_path, "in.json", obj)
+    code = main([path if word == "{f}" else word for word in command])
+    assert_clean_failure(capsys, code, 2, "boolean")
 
 
 def test_norms_rejects_nan_coefficient(tmp_path, capsys):

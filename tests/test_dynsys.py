@@ -36,9 +36,12 @@ def test_validation():
     with pytest.raises(ValueError):
         FiniteDynSys(2, (0,))
     for table in (np.array([0., 1.]), (0, 1.0), [[0], [1]], (0, 2**70), (0, "1"), (0, None),
-                  (0, -1), np.array([0, 2**64 - 1], dtype=np.uint64)):
+                  (0, -1), np.array([0, 2**64 - 1], dtype=np.uint64), (True, False)):
         with pytest.raises(SystemError_):
             FiniteDynSys(2, table)
+    for n in (True, np.bool_(True)):
+        with pytest.raises(SystemError_):
+            FiniteDynSys(n, (0,))
 
 
 def test_fixed_points():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conjalg import reps
 from conjalg.dynsys import FiniteDynSys
 from conjalg.reps import (
     NotOffFixedError,
@@ -179,7 +180,7 @@ def test_spectral_radius_is_not_the_norm():
     assert spectral_radius_estimate(u, 64) == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("w", [1e3, 1e-3])
+@pytest.mark.parametrize("w", [1e3, 1e-3, 1e200])
 def test_spectral_radius_powers_do_not_overflow(w):
     u = SkewPoly.shift(FiniteDynSys(1, (0,)), w)
     assert spectral_radius_estimate(u, 256) == pytest.approx(w, rel=1e-9)
@@ -187,18 +188,39 @@ def test_spectral_radius_powers_do_not_overflow(w):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_spectral_radius_matches_skew_product_power():
+    """Odd draws have no constant term and take the closed form; from draw 30
+    on, f_1 vanishes at one point, and from draw 35 on everywhere."""
     rng = np.random.default_rng(6)
-    for _ in range(30):
+    for draw in range(40):
         n = int(rng.integers(1, 5))
         sys = FiniteDynSys(n, tuple(int(v) for v in rng.integers(0, n, n)))
-        u = SkewPoly.make(sys, list(rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))))
+        coeffs = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        if draw % 2 or draw >= 30:
+            coeffs[0] = 0
+        if draw >= 30:
+            coeffs[1, rng.integers(n)] = 0
+        if draw >= 35:
+            coeffs[1] = 0
+        u = SkewPoly.make(sys, list(coeffs))
         N = int(rng.integers(1, 13))
         power = SkewPoly.one(sys)
         for _ in range(N):
             power = skew_mul(power, u)
         want = max(operator_norm(rep_matrix(TruncatedRep(sys, x, N + 1), power))
                    for x in range(n)) ** (1.0 / N)
+        if draw >= 35:
+            assert want == 0.0
         assert spectral_radius_estimate(u, N) == pytest.approx(want, rel=1e-9)
+
+
+def test_spectral_radius_powers_the_matrix_only_with_a_constant_term(monkeypatch):
+    calls = []
+    power = reps._scaled_power
+    monkeypatch.setattr(reps, "_scaled_power", lambda M, n: calls.append(n) or power(M, n))
+    u = SkewPoly.shift(SWAP, 0.5)
+    assert spectral_radius_estimate(u, 8) == pytest.approx(0.5) and calls == []
+    spectral_radius_estimate(u + SkewPoly.one(SWAP), 8)
+    assert calls == [8, 8]
 
 
 def test_offfixed_rep():
