@@ -5,6 +5,11 @@ means the requested decision completed (whatever the answer), 2 signals a
 parse or validation failure of the inputs, and 3 a module precondition
 failure or any other error inside a decision.  Every failure writes one
 `error:` line to stderr, never a traceback.
+
+Each subcommand imports the layers it runs when it runs, so the parser is
+built from this module alone: `disk classify`, `disk conjugate` and
+`disk iso` load `diskmaps` and no numpy, and every other subcommand loads
+numpy with its layers.
 """
 
 from __future__ import annotations
@@ -15,21 +20,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import charspace, diskmaps, dynsys, reps, skewpoly, verify
-from .diskmaps import MobiusMap
+from . import DEFAULT_SEED, DEFAULT_TRUNC
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
-GAMMA_PRESETS = {
-    "identity": lambda z: z,
-    "radial-square": lambda z: z * abs(z),
-    "cayley": MobiusMap(1, -1, 1, 1),        # (z - 1)/(z + 1)
-    "cayley-flip": MobiusMap(1, 1, 1, -1),   # (z + 1)/(z - 1)
-}
+GAMMA_PRESETS = ("cayley", "cayley-flip", "identity", "radial-square")
 
 
 class CliError(Exception):
@@ -46,16 +43,20 @@ def _load_json(path):
         raise CliError("cannot read %s: %s" % (path, exc), EXIT_PARSE)
 
 
-def _load_system(path) -> dynsys.FiniteDynSys:
+def _load_system(path):
+    from . import dynsys
+
     try:
         return dynsys.FiniteDynSys.from_json(_load_json(path))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE)
 
 
-def _load_mobius(path) -> MobiusMap:
+def _load_mobius(path):
+    from . import diskmaps
+
     try:
-        return MobiusMap.from_json(_load_json(path))
+        return diskmaps.MobiusMap.from_json(_load_json(path))
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError("bad Mobius map JSON %s: %s" % (path, exc), EXIT_PARSE)
 
@@ -90,6 +91,8 @@ def _emit(report, stream=None):
 # subcommands
 
 def cmd_finite(args):
+    from . import dynsys
+
     a = _load_system(args.a)
     b = _load_system(args.b)
     w = dynsys.are_conjugate(a, b)
@@ -100,11 +103,15 @@ def cmd_finite(args):
 
 
 def cmd_canon(args):
+    from . import dynsys
+
     sys_ = _load_system(args.system)
     return {"command": "canon", "canonical_form": dynsys.canonical_form(sys_), "format": 2}
 
 
 def cmd_char_space(args):
+    from . import charspace
+
     sys_ = _load_system(args.system)
     report = charspace.build_catalog(sys_, args.radius).to_json()
     report["command"] = "char-space"
@@ -112,6 +119,8 @@ def cmd_char_space(args):
 
 
 def cmd_norms(args):
+    from . import reps, skewpoly
+
     obj = _load_json(args.poly)
     try:
         p = skewpoly.SkewPoly.from_json(obj)
@@ -131,6 +140,10 @@ def cmd_norms(args):
 
 
 def cmd_pencil_check(args):
+    import numpy as np
+
+    from . import reps, verify
+
     sys_ = _load_system(args.system)
     if not 0 <= args.x < sys_.n:
         raise CliError("base point %d out of range(%d)" % (args.x, sys_.n), EXIT_PARSE)
@@ -160,10 +173,14 @@ def cmd_pencil_check(args):
 
 def normal_form(m, cl):
     """The invariants of m, read from its classification cl."""
+    from . import diskmaps
+
     return diskmaps._normal_form(m, cl)[0]
 
 
 def cmd_disk_classify(args):
+    from . import diskmaps
+
     m = _load_mobius(args.map)
     cl = _decide(diskmaps.classify, m)
     inv = _decide(normal_form, m, cl)
@@ -176,6 +193,8 @@ def cmd_disk_classify(args):
 
 
 def cmd_disk_conjugate(args):
+    from . import diskmaps
+
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
     w = _decide(diskmaps.analytically_conjugate, m1, m2)
@@ -187,6 +206,8 @@ def cmd_disk_conjugate(args):
 
 
 def cmd_disk_iso(args):
+    from . import diskmaps
+
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
     verdict, w = _decide(diskmaps.semicrossed_iso_verdict, m1, m2)
@@ -197,9 +218,16 @@ def cmd_disk_iso(args):
 
 
 def cmd_disk_verify_witness(args):
+    from . import diskmaps
+
     if args.gamma not in GAMMA_PRESETS:
         raise CliError("unknown gamma preset %r" % args.gamma, EXIT_PARSE)
-    gamma = GAMMA_PRESETS[args.gamma]
+    gamma = {
+        "identity": lambda z: z,
+        "radial-square": lambda z: z * abs(z),
+        "cayley": diskmaps.MobiusMap(1, -1, 1, 1),        # (z - 1)/(z + 1)
+        "cayley-flip": diskmaps.MobiusMap(1, 1, 1, -1),   # (z + 1)/(z - 1)
+    }[args.gamma]
     m1 = _load_mobius(args.m1)
     m2 = _load_mobius(args.m2)
     dev = _decide(diskmaps.verify_conjugacy_witness, gamma, m1, m2,
@@ -214,6 +242,8 @@ def cmd_disk_verify_witness(args):
 
 
 def cmd_verify_suite(args):
+    from . import verify
+
     report = verify.run_suite(seed=args.seed, oracle_pairs=args.oracle_pairs,
                               quick=args.quick)
     report["command"] = "verify-suite"
@@ -237,7 +267,9 @@ def _positive_float(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("CONJ_SEED", verify.DEFAULT_SEED))
+    # argparse converts a CONJ_SEED string like a --seed value, and reports a
+    # bad one, only in the subcommands that take --seed
+    default_seed = os.environ.get("CONJ_SEED", DEFAULT_SEED)
     parser = argparse.ArgumentParser(
         prog="conj",
         description="Conjugacy decisions for finite systems and Mobius disk maps",
@@ -260,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norms", help="truncated operator norm estimate")
     p.add_argument("poly")
-    p.add_argument("--trunc", type=_positive_int, default=reps.DEFAULT_TRUNC)
+    p.add_argument("--trunc", type=_positive_int, default=DEFAULT_TRUNC)
     p.set_defaults(fn=cmd_norms)
 
     p = sub.add_parser("pencil-check", help="pencil homomorphism check")
@@ -291,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_disk_iso)
 
     p = dsub.add_parser("verify-witness")
-    p.add_argument("gamma", help="one of: %s" % ", ".join(sorted(GAMMA_PRESETS)))
+    p.add_argument("gamma", help="one of: %s" % ", ".join(GAMMA_PRESETS))
     p.add_argument("m1")
     p.add_argument("m2")
     p.add_argument("--samples", type=_positive_int, default=1000)

@@ -10,8 +10,9 @@ scales the determinant-one form reaches (|d| = 1e160 for z -> 1e-320 z).
 Each map gets one chart g, in which its normal form is read.  A witness is
 g2^-1 o h o g1 for one affine h(w) = a w + b that commutes with the form,
 chosen by kind, and it is verified once, by a closed-form bound.  Forms and
-witnesses are raw matrix products, normalised once when the map is built,
-and the verdict path makes no numpy call.
+witnesses are raw matrix products, normalised once when the map is built.
+The module imports numpy only inside `disk_samples`, so the verdict path
+runs, and `conj disk` starts, without it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Tolerances; maps are stored with determinant one, so each works on a fixed scale.
 TOL = 1e-9               # coefficient tests: sign, identity, fixed points, image disk
@@ -90,7 +89,10 @@ def _json_complex(re, im=0) -> complex:
     """complex(re, im) from JSON numbers; a boolean is not a number."""
     if isinstance(re, bool) or isinstance(im, bool):
         raise MobiusError("coefficients must be numbers, not booleans")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:  # an integer beyond the float range
+        raise MobiusError("coefficients must lie in the float range") from None
 
 
 @dataclass(frozen=True)
@@ -401,6 +403,8 @@ def verify_conjugacy_witness(gamma, m1, m2, samples) -> float:
 
 def disk_samples(count: int = 1000, seed: int = 0) -> list:
     """Deterministic sample points of the closed disk (boundary included)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.random(count))
     r[: count // 4] = 1.0  # keep a boundary share

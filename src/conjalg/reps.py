@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_TRUNC
 from .charspace import Character
 from .dynsys import FiniteDynSys
 from .skewpoly import SkewPoly, SystemMismatchError
-
-DEFAULT_TRUNC = 64
 
 
 class NestRepError(ValueError):

@@ -36,7 +36,10 @@ def _json_complex(re, im) -> complex:
     """complex(re, im) from JSON numbers; a boolean is not a number."""
     if isinstance(re, bool) or isinstance(im, bool):
         raise TypeError("coefficients must be numbers, not booleans")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError("coefficients must lie in the float range") from None
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,10 @@ import math
 
 import numpy as np
 
-from . import charspace, diskmaps, dynsys, reps, skewpoly
+from . import DEFAULT_SEED, charspace, diskmaps, dynsys, reps, skewpoly
 from .diskmaps import MobiusMap
 from .dynsys import FiniteDynSys
 from .skewpoly import SkewPoly
-
-DEFAULT_SEED = 20240901
 
 
 # ---------------------------------------------------------------------------

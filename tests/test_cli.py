@@ -302,7 +302,7 @@ def assert_clean_failure(capsys, code, expected, *words):
     captured = capsys.readouterr()
     assert code == expected
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert all(w in captured.err for w in words)
 
 
@@ -369,3 +369,36 @@ def test_fault_in_a_decision_exits_3_naming_the_stage(tmp_path, capsys, monkeypa
     code = main(["disk", "verify-witness", "cayley", m, m])
     assert_clean_failure(capsys, code, 3, "verify_conjugacy_witness: RuntimeError: boom")
 
+
+
+@pytest.mark.parametrize("command, obj", [
+    (["disk", "classify", "{f}"], {"matrix": [[10**400, 0], [0, 0], [0, 0], [1, 0]]}),
+    (["disk", "classify", "{f}"], {"preset": "rotation", "c": [0, 10**400]}),
+    (["norms", "{f}"], {"system": {"n": 1, "map": [0]}, "coeffs": [[[10**400, 0]]]}),
+], ids=["mobius", "preset", "coefficient"])
+def test_integers_beyond_the_float_range_are_parse_errors(tmp_path, capsys, command, obj):
+    path = write_json(tmp_path, "in.json", obj)
+    code = main([path if word == "{f}" else word for word in command])
+    assert_clean_failure(capsys, code, 2, "float range")
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-suite", "--quick"],
+    ["disk", "verify-witness", "identity", "m.json", "m.json"],
+    ["pencil-check", "s.json", "0"],
+])
+def test_bad_conj_seed_is_a_parse_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("CONJ_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--seed" in captured.err and "'abc'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bad_conj_seed_leaves_commands_without_a_seed_alone(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONJ_SEED", "abc")
+    m = write_json(tmp_path, "m.json", {"preset": "blaschke_half"})
+    code, report = run(capsys, ["disk", "classify", m])
+    assert code == 0 and report["kind"] == "hyperbolic"
