@@ -81,10 +81,9 @@ def validate_report(obj) -> bool:
         return False
 
 
-def _emit(report, stream=None):
+def _emit(report):
     assert validate_report(report)
-    stream = stream or sys.stdout
-    stream.write(json.dumps(report, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,7 @@ def cmd_disk_verify_witness(args):
 def cmd_verify_suite(args):
     from . import verify
 
-    report = verify.run_suite(seed=args.seed, oracle_pairs=args.oracle_pairs,
-                              quick=args.quick)
+    report = verify.run_suite(seed=args.seed, quick=args.quick)
     report["command"] = "verify-suite"
     return report
 
@@ -333,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-suite", help="run the seeded property suite")
     p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--oracle-pairs", type=_positive_int, default=None,
-                   help="conjugacy oracle pairs (default 10000, 200 with --quick)")
     p.add_argument("--quick", action="store_true")
     p.set_defaults(fn=cmd_verify_suite)
 

@@ -102,9 +102,8 @@ class SkewPoly:
         return skew_scale(scalar, self)
 
     @classmethod
-    def from_json(cls, obj, system=None) -> "SkewPoly":
-        if system is None:
-            system = FiniteDynSys.from_json(obj["system"])
+    def from_json(cls, obj) -> "SkewPoly":
+        system = FiniteDynSys.from_json(obj["system"])
         coeffs = [
             np.array([_json_complex(re, im) for re, im in layer]) for layer in obj["coeffs"]
         ]

@@ -266,12 +266,24 @@ def test_verify_suite_quick_deterministic(capsys):
     assert validate_report(report)
 
 
-def test_verify_suite_quick_honours_oracle_pairs(capsys):
-    code = main(["verify-suite", "--quick", "--oracle-pairs", "50"])
+QUICK_CASES = [
+    ("conjugacy_oracle", 200), ("skew_mul_convolution", 100), ("associativity", 200),
+    ("covariance_relation", 200), ("transport_homomorphism", 200),
+    ("character_multiplicativity", 300), ("pencil_homomorphism", 100),
+    ("nest_rep_second_point", 800), ("fixed_derivative_multiplier", 100),
+    ("rotation_dichotomy", 50), ("worked_examples", None), ("norm_chain", 10),
+    ("multiplier_invariance", 50), ("witness_soundness", 40),
+]
+
+
+def test_verify_suite_quick_case_counts(capsys):
+    code = main(["verify-suite", "--quick"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    oracle = [c for c in report["checks"] if c["name"] == "conjugacy_oracle"]
-    assert oracle[0]["cases"] == 50
+    assert [(c["name"], c.get("cases")) for c in report["checks"]] == QUICK_CASES
+    with pytest.raises(SystemExit) as exc:  # the suite's sizes are not options
+        main(["verify-suite", "--quick", "--oracle-pairs", "50"])
+    assert exc.value.code == 2
 
 
 def test_conj_seed_env(tmp_path, capsys, monkeypatch):

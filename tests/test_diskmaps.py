@@ -551,6 +551,20 @@ def test_verdict_same_map_with_real_halfplane_form():
     assert analytically_conjugate(m, m) is not None
 
 
+@pytest.mark.xfail(strict=True, reason="|tr^2 - 4| = 4e^2 falls under TRACE_BAND, so the map "
+                   "reads as parabolic at the midpoint 0 of its fixed points, and its "
+                   "half-plane chart there is singular")
+def test_hyperbolic_near_identity_is_hyperbolic():
+    # z -> (z + e)/(e z + 1), exact in floating point, fixes -1 and 1
+    e = 2.0 ** -16
+    m = MobiusMap(1, e, e, 1)
+    cl = classify(m)
+    assert cl.kind == KIND_HYPERBOLIC
+    assert [loc for _, loc in cl.fixed_points] == ["boundary", "boundary"]
+    assert abs(cl.distinguished - 1) <= TOL and abs(cl.fixed_points[1][0] + 1) <= TOL
+    assert semicrossed_iso_verdict(m, m)[0] == VERDICT_CONJUGATE
+
+
 # Pairs whose witnesses a cruder form of the bound rejected, though the
 # witness deviates by less than WITNESS_TOL.  The first three are the
 # contraction-yes pairs of the disk-verdicts benchmark at seeds 262, 891 and

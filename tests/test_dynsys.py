@@ -18,6 +18,7 @@ from conjalg.dynsys import (
     orbit_structure,
     relabel,
 )
+from scale_check import caterpillar, chain_bundle, star
 
 
 def systems(max_n=7):
@@ -184,16 +185,6 @@ def broom(n, rng):
     return [0] + list(range(n // 2 - 1)) + [int(v) for v in legs]
 
 
-def star(n, rng):
-    """A fixed centre 0 with sqrt(n) hubs; every other point goes to the centre
-    with probability 1/2, else to a random hub, so the two lowest levels are wide."""
-    k = int(np.sqrt(n))
-    table = np.zeros(n, dtype=np.int64)
-    rest = n - k - 1
-    table[k + 1:] = np.where(rng.random(rest) < 0.5, 0, rng.integers(1, k + 1, rest))
-    return table
-
-
 @pytest.mark.parametrize("shape", ["path", "cycle", "broom", "star", "random"])
 def test_scale_relabel_gives_witness_and_equal_forms(shape):
     rng = np.random.default_rng(3)
@@ -264,25 +255,11 @@ def cycle_with_chains(n, rng):
     return table
 
 
-def caterpillar(n):
-    """A path n/2 - 1 -> ... -> 1 -> 0, with 0 fixed, and one leaf on each
-    path point: every level above the leaves holds one path point."""
-    half = n // 2
-    return np.concatenate([np.maximum(np.arange(half) - 1, 0), np.arange(n - half) % half])
-
-
 def leafy_broom(n, rng):
     """A path of n/2 points as in `caterpillar`, and n/2 leaves on random
     path points: narrow levels with a varying number of leaves."""
     half = n // 2
     return np.concatenate([np.maximum(np.arange(half) - 1, 0), rng.integers(0, half, n - half)])
-
-
-def chain_bundle(n, k):
-    """A k-cycle with a chain of about n/k points hanging on each cycle point:
-    point i >= k maps to i - k, so every level holds k points."""
-    points = np.arange(n)
-    return np.where(points < k, (points + 1) % k, points - k)
 
 
 def hub_star(leaves):
