@@ -42,12 +42,22 @@ def _json_complex(re, im) -> complex:
         raise ValueError("coefficients must lie in the float range") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewPoly:
     """sum_k coeffs[k] U^k; trailing zero coefficients are stripped."""
 
     system: FiniteDynSys
     coeffs: tuple  # tuple of complex vectors, one per degree
+
+    def __eq__(self, other):
+        if not isinstance(other, SkewPoly):
+            return NotImplemented
+        return (self.system == other.system and self.degree == other.degree
+                and all(map(np.array_equal, self.coeffs, other.coeffs)))
+
+    def __hash__(self):
+        # coefficients stay out: 0.0 == -0.0 but their bytes differ
+        return hash((self.system, self.degree))
 
     @classmethod
     def make(cls, system: FiniteDynSys, coeffs) -> "SkewPoly":

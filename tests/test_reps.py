@@ -120,6 +120,51 @@ def test_norm_estimate_monotone_and_l1_bound():
         assert vals[-1] <= l1_norm(p) + 1e-9
 
 
+def per_point_max(p, N, convention="backward"):
+    """The oracle: one SVD per base point."""
+    return max(operator_norm(rep_matrix(TruncatedRep(p.system, x, N, convention), p))
+               for x in range(p.system.n))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_norm_estimate_is_the_per_point_maximum():
+    # the Cholesky bound only skips SVDs, so the value must match to the bit
+    rng = np.random.default_rng(22)
+    for draw in range(300):
+        n, N, deg = int(rng.integers(1, 10)), int(rng.integers(1, 41)), int(rng.integers(0, 5))
+        kind = draw % 6
+        table = rng.permutation(n) if kind == 0 else rng.integers(0, n, n)
+        sys = FiniteDynSys(n, table)
+        coeffs = rng.normal(size=(deg + 1, n)) + 1j * rng.normal(size=(deg + 1, n))
+        orbit0 = TruncatedRep(sys, 0, n).orbit()
+        if kind == 0:  # constant coefficients on a permutation: every base point ties
+            coeffs[:] = coeffs[:, :1]
+        elif kind == 1:
+            coeffs *= 1e160
+        elif kind == 2:
+            coeffs *= 1e-160
+        elif kind == 3:  # pi_0(p) = 0, so the running maximum starts at 0
+            coeffs[:, orbit0] = 0
+        elif kind == 4:  # orbit of 0 at 1e-300, the rest at 1e300: pi_x(p) / s must not overflow
+            scale = np.full(n, 1e300)
+            scale[orbit0] = 1e-300
+            coeffs *= scale
+        else:
+            coeffs[:] = 0
+        p = SkewPoly.make(sys, list(coeffs))
+        for convention in ("backward", "forward"):
+            assert norm_estimate(p, N, convention) == per_point_max(p, N, convention)
+
+
+def test_norm_estimate_takes_one_svd_when_the_first_point_dominates(monkeypatch):
+    calls = []
+    svd = reps.operator_norm
+    monkeypatch.setattr(reps, "operator_norm", lambda M: calls.append(len(M)) or svd(M))
+    p = SkewPoly.constant(FiniteDynSys(2, (1, 1)), [10, 1])
+    assert norm_estimate(p, 16) == per_point_max(p, 16) == 10.0
+    assert calls == [16]
+
+
 def test_spectral_radius_unit_and_weighted():
     u = SkewPoly.shift(SWAP)
     assert spectral_radius_estimate(u, 16) == pytest.approx(1.0)

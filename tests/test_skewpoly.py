@@ -25,6 +25,18 @@ def test_normalization():
     assert SkewPoly.zero(SWAP).degree == -1
 
 
+def test_equality_and_hash():
+    p = SkewPoly.make(SWAP, [[1, 2], [3, 4]])
+    assert p == SkewPoly.make(SWAP, [[1, 2], [3, 4], [0, 0]])
+    assert p != SkewPoly.make(SWAP, [[1, 2], [3, 5]])
+    assert p != SkewPoly.make(SWAP, [[1, 2]])
+    assert p != SkewPoly.make(FiniteDynSys(2, (0, 1)), [[1, 2], [3, 4]])
+    assert p != "p"
+    assert SkewPoly.constant(SWAP, [0.0, 1]) == SkewPoly.constant(SWAP, [-0.0, 1])
+    assert hash(SkewPoly.constant(SWAP, [0.0, 1])) == hash(SkewPoly.constant(SWAP, [-0.0, 1]))
+    assert len({p, p * 1.0, SkewPoly.zero(SWAP)}) == 2
+
+
 def test_add_scale():
     p = SkewPoly.make(SWAP, [[1, 2], [3, 4]])
     assert poly_close(p + SkewPoly.zero(SWAP), p) == 0
