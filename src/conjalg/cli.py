@@ -4,7 +4,8 @@ Every invocation prints exactly one JSON document to stdout.  Exit code 0
 means the requested decision completed (whatever the answer), 2 signals a
 parse or validation failure of the inputs, and 3 a module precondition
 failure or any other error inside a decision.  Every failure writes one
-`error:` line to stderr, never a traceback.
+`error:` line to stderr, never a traceback; `norms` writes a `warning:`
+line for each truncation at or below the polynomial's degree.
 
 Each subcommand imports the layers it runs when it runs, so the parser is
 built from this module alone: `disk classify`, `disk conjugate` and
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import DEFAULT_SEED, DEFAULT_TRUNC
 
@@ -127,7 +129,11 @@ def cmd_norms(args):
         raise CliError("bad polynomial JSON: %s" % exc, EXIT_PARSE)
     sizes = sorted({min(args.trunc, max(2, args.trunc // 4)),
                     min(args.trunc, max(3, args.trunc // 2)), args.trunc})
-    vals = [reps.norm_estimate(p, N) for N in sizes]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals = [reps.norm_estimate(p, N) for N in sizes]
+    for w in caught:  # one line each, not Python's file:line form
+        sys.stderr.write("warning: %s\n" % w.message)
     monotone = all(vals[i] <= vals[i + 1] + 1e-9 for i in range(len(vals) - 1))
     return {
         "command": "norms",

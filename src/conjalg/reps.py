@@ -23,8 +23,8 @@ from .charspace import Character
 from .dynsys import FiniteDynSys
 from .skewpoly import SkewPoly, SystemMismatchError
 
-# Margin of the Cholesky bound in `norm_estimate`, relative to the square of
-# the norm: far above the factorisation's backward error, of order N * eps.
+# Margin of the Gershgorin and Cholesky bounds in `norm_estimate`, relative to
+# the square of the norm: far above their rounding errors, of order N * eps.
 CHOLESKY_MARGIN = 1e-8
 
 
@@ -79,6 +79,15 @@ def _warn_if_truncated(p: SkewPoly, N: int):
         )
 
 
+def _image(orbit, coeffs, N: int, convention: str) -> np.ndarray:
+    """The N x N image of sum_k coeffs[k] U^k along the given orbit."""
+    rows = np.arange(N)
+    M = np.zeros((N, N), dtype=complex)
+    for k, f in enumerate(coeffs[:N]):
+        M[rows[:N - k], rows[k:]] = f[orbit[:N - k]]
+    return M if convention == "backward" else M.T
+
+
 def rep_matrix(rep: TruncatedRep, p: SkewPoly) -> np.ndarray:
     """Image of p under the truncated shift representation.
 
@@ -89,48 +98,123 @@ def rep_matrix(rep: TruncatedRep, p: SkewPoly) -> np.ndarray:
     """
     if p.system != rep.system:
         raise SystemMismatchError("polynomial lives over a different system")
-    N = rep.trunc
-    _warn_if_truncated(p, N)
-    orbit = np.array(rep.orbit())
-    rows = np.arange(N)
-    M = np.zeros((N, N), dtype=complex)
-    for k, f in enumerate(p.coeffs[:N]):
-        M[rows[:N - k], rows[k:]] = f[orbit[:N - k]]
-    return M if rep.convention == "backward" else M.T
+    _warn_if_truncated(p, rep.trunc)
+    return _image(np.array(rep.orbit()), p.coeffs, rep.trunc, rep.convention)
 
 
 def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _orbits(system: FiniteDynSys, N: int) -> np.ndarray:
+    """(n, N) array whose row x is the orbit x, eta(x), ..., eta^(N-1)(x)."""
+    orb = np.empty((system.n, N), dtype=np.intp)
+    orb[:, 0] = np.arange(system.n)
+    step, j = system.map, 1  # step = eta^j while j doubles
+    while j < N:
+        m = min(j, N - j)
+        orb[:, j:j + m] = step[orb[:, :m]]
+        step, j = step[step], j + m
+    return orb
+
+
+def _scaled_gram(p: SkewPoly, orb: np.ndarray):
+    """(t, bands) for the backward images of p at truncation N = orb.shape[1].
+
+    t is the largest |f_k| with k < N, and bands[s][x, c] = G_x[c, c + s] for
+    the Gram matrix G_x = A^H A of A = pi_x(p) / t.  Column c of A holds
+    A[c - k, c] = f_k(eta^(c - k) x) / t for k = 0..d, so
+    G_x[c, c + s] = sum_k conj(A[c - k, c]) A[c - k, c + s], one product and
+    one sum over k per band for every point at once: O(n N d^2) in all.
+    bands is empty when t = 0.
+    """
+    n, N = orb.shape
+    coeffs = np.reshape(p.coeffs[:N], (-1, n))
+    t = float(np.abs(coeffs).max(initial=0.0))
+    if not t:
+        return t, []
+    d = len(coeffs) - 1
+    col = np.zeros((d + 1, n, N), dtype=complex)  # col[k, x, c] = A_x[c - k, c], of modulus <= 1
+    for k, f in enumerate(coeffs / t):
+        col[k, :, k:] = f[orb[:, :N - k]]
+    conj = col.conj()
+    return t, [(conj[:d + 1 - s, :, :N - s] * col[s:, :, s:]).sum(axis=0) for s in range(d + 1)]
+
+
+def _gram_bounds(bands):
+    """Per point x, (l2, g) with l2 = max diag G_x <= lambda_max(G_x) <= g.
+
+    l2 is the largest squared column norm of pi_x(p) / t, and g the
+    Gershgorin bound, the largest absolute row sum of G_x.
+    """
+    diag = bands[0].real  # exactly real: conj(z) z has a zero imaginary part
+    rows = diag.copy()
+    N = rows.shape[1]
+    for s, band in enumerate(bands[1:], 1):
+        m = np.abs(band)
+        rows[:, :N - s] += m  # G_x[c, c + s]
+        rows[:, s:] += m  # G_x[c + s, c], its conjugate
+    return diag.max(axis=1), rows.max(axis=1)
+
+
+def _below(bands, x: int, r: float) -> bool:
+    """Whether a Cholesky factorisation of (1 - CHOLESKY_MARGIN) I - G_x / r,
+    built densely from the bands, succeeds, proving lambda_max(G_x) < r."""
+    N = bands[0].shape[1]
+    H = np.zeros((N, N), dtype=complex)
+    H.flat[::N + 1] = (1 - CHOLESKY_MARGIN) - bands[0][x].real / r
+    for s, band in enumerate(bands[1:], 1):
+        H.flat[s:N * (N - s):N + 1] = band[x] / -r  # H[c, c + s]
+        H.flat[s * N::N + 1] = band[x].conj() / -r  # H[c + s, c]
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backward") -> float:
     """Lower bound for the algebra norm: max over every base point x of
     ||pi_x(p)|| at truncation N, in the given convention.
 
-    Only the maximum is needed, so the first point takes an SVD and every
-    other point first tries a Cholesky bound.  With s the largest SVD value
-    so far and A = pi_x(p) / s, a Cholesky factorisation of
-    (1 - CHOLESKY_MARGIN) I - A^H A succeeds only if ||pi_x(p)|| < s, since
-    Cholesky is backward stable with an error of order N * machine epsilon,
-    far below the margin; such a point is skipped.  A point it fails on takes
-    its SVD, as does every point while s = 0, so the value is the per-point
-    maximum of SVD values, bit for bit.
+    Only the maximum is needed, so most points are ruled out without an SVD.
+    Every image pi_x(p) is upper triangular with d + 1 nonzero diagonals, so
+    the Gram matrices G_x of pi_x(p) / t, t the largest |f_k|, come from
+    their d + 1 bands for all points at once (`_scaled_gram`), with two
+    bounds per point: l_x^2 = max diag G_x <= ||pi_x(p) / t||^2 <= g_x, the
+    Gershgorin bound.  Points are visited in descending l_x, so the first
+    SVD falls on the likely maximiser.  With s the largest SVD value so far
+    and r = (s / t)^2, a point with g_x < (1 - CHOLESKY_MARGIN) r is skipped;
+    one with l_x^2 >= r takes its SVD; any other is skipped if a Cholesky
+    factorisation of (1 - CHOLESKY_MARGIN) I - G_x / r, built densely from
+    the bands with no product, succeeds, and takes its SVD otherwise.  The
+    forward image is the transpose, whose norm is the same, so the backward
+    bands bound both conventions.  One base point takes its SVD directly.
+
+    The bounds are safe: every scaled entry has modulus <= 1, so no Gram
+    term overflows; the point holding the entry t has l_x >= 1 and the first
+    SVD lands on the largest l_x, so r >= 1 afterwards.  Rounding in the band
+    sums (of order d * machine epsilon), underflowed terms (below 1e-308) and
+    Cholesky's backward error (of order N * machine epsilon) then lie far
+    below the margin, so a skipped point has ||pi_x(p)|| < s.  The value is
+    the per-point maximum of SVD values, bit for bit.
     """
+    TruncatedRep(p.system, 0, N, convention)  # raises on a bad N or convention
+    _warn_if_truncated(p, N)
+    orb = _orbits(p.system, N)
+    if p.system.n == 1:
+        return operator_norm(_image(orb[0], p.coeffs, N, convention))
+    t, bands = _scaled_gram(p, orb)
+    if not t:
+        return 0.0
+    lower, upper = _gram_bounds(bands)
     best = 0.0
-    for x in range(p.system.n):
-        M = rep_matrix(TruncatedRep(p.system, x, N, convention), p)
-        # an entry of modulus >= s rules the bound out, and below s no entry
-        # of A^H A can overflow
-        if best and np.abs(M).max() < best:
-            A = M / best
-            G = -A.conj().T @ A
-            G.flat[::N + 1] += 1 - CHOLESKY_MARGIN  # in place: G = (1 - m) I - A^H A
-            try:
-                np.linalg.cholesky(G)
+    for x in np.argsort(-lower, kind="stable").tolist():
+        if best:
+            r = (best / t) ** 2
+            if upper[x] < (1 - CHOLESKY_MARGIN) * r or (lower[x] < r and _below(bands, x, r)):
                 continue
-            except np.linalg.LinAlgError:
-                pass
-        best = max(best, operator_norm(M))
+        best = max(best, operator_norm(_image(orb[x], p.coeffs, N, convention)))
     return best
 
 

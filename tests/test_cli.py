@@ -116,6 +116,22 @@ def test_norms_reports_the_estimate_at_the_truncation_asked(tmp_path, capsys):
         assert report["estimate"] == reps.norm_estimate(p, trunc)
 
 
+def test_norms_writes_each_truncation_warning_as_one_line(tmp_path, capsys):
+    """A degree-4 polynomial at --trunc 4 is estimated at N = 2, 3 and 4, each
+    at or below the degree: one `warning:` line each, naming no source file."""
+    obj = {"system": {"n": 2, "map": [1, 0]},
+           "coeffs": [[[1, 0], [2, 0]]] + [[[0, 0], [0, 0]]] * 3 + [[[0.5, 0], [0, 1]]]}
+    path = write_json(tmp_path, "p.json", obj)
+    assert main(["norms", path, "--trunc", "4"]) == 0
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("warning: ") and "reps.py" not in line for line in lines)
+    assert "truncation 2;" in lines[0] and "truncation 4;" in lines[2]
+    with pytest.warns(UserWarning):
+        assert json.loads(out)["estimate"] == reps.norm_estimate(SkewPoly.from_json(obj), 4)
+
+
 def test_pencil_check(tmp_path, capsys):
     s = write_json(tmp_path, "s.json", {"n": 3, "map": [0, 0, 1]})
     code, report = run(capsys, ["pencil-check", s, "1", "--samples", "20"])

@@ -165,6 +165,62 @@ def test_norm_estimate_takes_one_svd_when_the_first_point_dominates(monkeypatch)
     assert calls == [16]
 
 
+def test_norm_estimate_takes_one_svd_when_a_later_point_dominates(monkeypatch):
+    """Base point 1 holds the maximum: its column norm puts it first, and the
+    Gershgorin bound then rules out point 0 with no Cholesky factorisation."""
+    calls = []
+    svd = reps.operator_norm
+    monkeypatch.setattr(reps, "operator_norm", lambda M: calls.append(len(M)) or svd(M))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda H: pytest.fail("Cholesky was called"))
+    p = SkewPoly.constant(FiniteDynSys(2, (0, 0)), [1, 10])
+    assert norm_estimate(p, 16) == 10.0
+    assert calls == [16]
+    monkeypatch.undo()
+    assert per_point_max(p, 16) == 10.0
+
+
+def test_norm_estimate_warns_once_on_behalf_of_its_caller():
+    p = SkewPoly.monomial(CHAIN, [1, 2, 3], 4)
+    with pytest.warns(UserWarning, match="degree 4 >= truncation 4") as caught:
+        norm_estimate(p, 4)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_gram_bands_match_the_dense_product():
+    rng = np.random.default_rng(23)
+    for _ in range(80):
+        n, deg = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+        sys = FiniteDynSys(n, rng.integers(0, n, n))
+        coeffs = rng.normal(size=(deg + 1, n)) + 1j * rng.normal(size=(deg + 1, n))
+        coeffs *= 10.0 ** rng.integers(-3, 4)
+        p = SkewPoly.make(sys, list(coeffs))
+        for N in sorted({1, 2, deg, deg + 1, 40} - {0}):
+            orb = reps._orbits(sys, N)
+            t, bands = reps._scaled_gram(p, orb)
+            lower, upper = reps._gram_bounds(bands)
+            assert t == np.abs(coeffs[:N]).max()
+            for x in range(n):
+                assert orb[x].tolist() == TruncatedRep(sys, x, N).orbit()
+                A = rep_matrix(TruncatedRep(sys, x, N, "backward"), p) / t
+                G = A.conj().T @ A
+                tol = 1e-12 * np.abs(G).max()
+                for s in range(N):  # bands beyond the degree are zero
+                    want = np.diag(G, s)
+                    got = bands[s][x] if s < len(bands) else np.zeros_like(want)
+                    assert np.abs(got - want).max() <= tol
+                # the forward image is A^T, whose Gram A^T conj(A) is conj(A A^H)
+                F = rep_matrix(TruncatedRep(sys, x, N, "forward"), p) / t
+                assert np.abs(F @ F.conj().T - G.conj()).max() <= tol
+                assert abs(lower[x] - np.diag(G).real.max()) <= tol
+                assert abs(upper[x] - np.abs(G).sum(axis=1).max()) <= N * tol
+                for M in (A, F):
+                    nrm = operator_norm(M)
+                    assert math.sqrt(lower[x]) <= nrm * (1 + 1e-12)
+                    assert nrm <= math.sqrt(upper[x]) * (1 + 1e-12)
+
+
 def test_spectral_radius_unit_and_weighted():
     u = SkewPoly.shift(SWAP)
     assert spectral_radius_estimate(u, 16) == pytest.approx(1.0)
