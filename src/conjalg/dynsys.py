@@ -10,11 +10,14 @@ per parent.  The labels are then ranked one height level at a time, and the
 witness pairs the breadth-first orders of the two systems.  The two lowest
 levels, usually the largest, take their labels in closed form: every point
 without children is of the empty shape, and a point all of whose children
-are leaves is ranked by its child count.  Peel, ranking and walk each run
-in numpy where a level is wide and in a Python loop where it is narrow, in
-one set-up for systems of every size; the loops read the arrays through
-memoryviews.  The ranking yields labels only; the shape table, each label's
-sorted child labels, is gathered once at the end.
+are leaves is ranked by its child count.  Leaves, label 0, lead every CSR
+run, so they are handled in bulk: sorted once, by parent, for the peel and
+the CSR alike, and passed over by the walk, which pairs them with one
+gather at the end.  Peel, ranking and walk each run in numpy where a level
+is wide and in a Python loop where it is narrow, in one set-up for systems
+of every size; the loops read the arrays through memoryviews.  The ranking
+yields labels only; the shape table, each label's sorted child labels, is
+gathered once at the end.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ BRUTE_FORCE_MAX = 9
 # numpy, a narrower one in a Python loop.  Timed on systems of 200 levels of
 # w points, each with one child in the level below, relabelled at random, all
 # levels one way or all the other (2-vCPU shared machine, Python 3.11, numpy
-# 2.4), per level: `orbit_structure` took 75 us with numpy against 31 us in
-# Python at w = 16, 84 against 122 us at w = 64 and 121 against 333 us at
-# w = 128; the breadth-first walk 13 against 3, 12 against 15 and 11 against
-# 32 us.  On random maps of 10**5 and 10**6 points a whole walk took 10 and
-# 64-75 ms with the switch anywhere from 32 to 128, and 28 and 191 ms at 512.
+# 2.4), per level: `orbit_structure` took 54 us with numpy against 20 us in
+# Python at w = 16, 63 against 78 us at w = 64 and 75 against 155 us at
+# w = 128; the breadth-first walk, which passes over the leaves, 9 against 3,
+# 10 against 13 and 12 against 25 us.  On random maps of 10**5 and 10**6
+# points a whole walk, its leaf offsets included, took 7-9 and 60-67 ms with
+# the switch anywhere from 32 to 128, and 25 and 139 ms at 512.
 WIDE_LEVEL = 64
 
 
@@ -160,81 +164,123 @@ def orbit_structure(sys: FiniteDynSys) -> OrbitStructure:
     the trees level by level, without recursion.
 
     Leaves are peeled one height level at a time: in numpy while a level is
-    wide, then in a Python queue from the first narrow level on.  One sort
-    of the peel order by parent gives the CSR children, and one sort of the
-    heights gives the points by height.  Height 0, the points with no
-    children, takes label 0 outright.  The other levels are ranked one by
-    one, in numpy on the wide levels and in Python on the narrow ones; a
-    wide height 1, where every child is a leaf, is ranked by child counts
-    alone.  Only the cycle points are walked for the cycles.  Then one sort
-    puts the children in label order, and one gather of their labels gives
-    the shape table.  The Python loops read and write the numpy arrays
-    through memoryviews, so the only lists built hold points that a Python
-    loop visits.  Every system takes this one path: one of fewer than WIDE_LEVEL
-    points has no wide level, so only the Python loops run on it.
+    wide, then in a Python queue from the first narrow level on.  The leaves
+    are sorted once, by parent, for the peel; that order is also their place
+    in the CSR children, where each parent's leaves lead its run, since label
+    0 is the least.  Only the inner tree points, those with children, are
+    sorted again: by parent for the CSR, and by parent and label at the end.
+    The peel order lists the tree points by height, so the points above
+    height 0 come from the inner ones with the cycle points that have
+    children merged in.  Height 0, the points with no children, takes label 0
+    outright.  The other levels are ranked one by one, in numpy on the wide
+    levels and in Python on the narrow ones; a wide height 1, where every
+    child is a leaf, is ranked by child counts alone.  Only the cycle points
+    are walked for the cycles.  One gather of labels gives the shape table.
+    The Python loops read and write the numpy arrays through memoryviews, so
+    the only lists built hold points that a Python loop visits.  Every system
+    takes this one path: one of fewer than WIDE_LEVEL points has no wide
+    level, so only the Python loops run on it.
     """
     n, f = sys.n, sys.map
     indeg = np.bincount(f, minlength=n)
     height = np.zeros(n, dtype=np.int64)
-    levels, level = [], np.flatnonzero(indeg == 0)
-    while len(level) >= WIDE_LEVEL:
-        levels.append(level)
-        level = _peel(f, level, indeg, height, len(levels))
-    up, left = memoryview(f), memoryview(indeg)
-    levels.append(np.array(_peel_queue(level.tolist(), up, left, memoryview(height)),
-                           dtype=np.int64))
-    tree = np.concatenate(levels)  # every non-cycle point, in peel order
-    cycles = _walk_cycles(np.flatnonzero(indeg).tolist(), up, left)
+    leaves = np.flatnonzero(indeg == 0)
+    at, parent = _group(f, leaves)  # the leaves by parent, in id order: their CSR order
+    upper = _peel_tree(f, leaves, at, parent, indeg, height)  # the tree points above height 0
+    on_cycle = np.flatnonzero(indeg)
+    cycles = _walk_cycles(on_cycle.tolist(), memoryview(f), memoryview(indeg))
+    leaves = leaves[at]
+    at, kid_parent = _group(f, upper)
+    kids = upper[at]
+    children, child_start, slot = _children(leaves, parent, kids, kid_parent, n)
 
-    # the points by height; a level's labels do not depend on the order of its points
+    # the points above height 0 by height; a level's labels do not depend on
+    # the order of its points.  A point's tallest child sits one level below
+    # it and no two points share a child, so the levels only narrow going
+    # up: the wide ones come first and are labelled with numpy, the rest in
+    # Python.  Height 0 holds exactly the points with no children, cycle
+    # points too: all of the empty shape, label 0
+    roots = on_cycle[height[on_cycle] > 0]
+    upper = np.insert(upper, np.searchsorted(height[upper], height[roots]), roots)
     counts = np.bincount(height)
-    by_height = _stable_order(height, len(counts))
-    bounds = counts.cumsum().tolist()
-
-    # children in CSR form, by parent and then peel order.  Every child sits
-    # lower than its parent, so its label is final when the parent's level
-    # comes.  A point's tallest child sits one level below it and no two
-    # points share a child, so the levels only narrow going up: the wide
-    # ones come first and are labelled with numpy, the rest in Python.
-    children = tree[_stable_order(f[tree], n)]
-    child_start = np.zeros(n + 1, dtype=np.int64)
-    np.bincount(f[tree], minlength=n).cumsum(out=child_start[1:])
-    # height 0 holds exactly the points with no children, cycle points too:
-    # all of the empty shape, label 0
-    labels, lo = 1, bounds[0]
+    del indeg, height, leaves, parent, at  # so that they do not add to the peak of the final sort
+    bounds = counts[1:].cumsum().tolist()
+    labels, lo = 1, 0
     wide = max(1, int(np.count_nonzero(counts >= WIDE_LEVEL)))
     lab = np.zeros(n, dtype=np.int64)
-    for hi in bounds[1:wide]:
-        level = by_height[lo:hi]
+    for hi in bounds[:wide - 1]:
+        level = upper[lo:hi]
         first, stop = child_start[level], child_start[level + 1]
-        if lo == bounds[0]:  # height 1: every child a leaf, so rows order by length
+        if lo == 0:  # height 1: every child a leaf, so rows order by length
             rank = _dense_rank(stop - first, n + 1)
         else:
             rank = _rank_rows(lab[_gather(children, first, stop)], stop - first)
         lab[level] = rank + labels
         labels += int(rank.max()) + 1
         lo = hi
-    labels = _label_levels(memoryview(by_height), lo, bounds[wide:], memoryview(children),
+    labels = _label_levels(memoryview(upper), lo, bounds[wide - 1:], memoryview(children),
                            memoryview(child_start), memoryview(lab), labels)
-    # children by (parent, label, peel order), the witness's order; then equal labels
-    # have equal sorted rows of child labels, so one point per label gives the table
-    children = children[_stable_order(f[children] * labels + lab[children], n * labels)]
+    # inner children by (parent, label, peel order), the witness's order;
+    # then equal labels have equal sorted rows of child labels, so one point
+    # per label gives the table
+    children[slot] = kids[_stable_order(kid_parent * labels + lab[kids], n * labels)]
     one = np.empty(labels, dtype=np.int64)
     one[lab] = np.arange(n)
     first, stop = child_start[one], child_start[one + 1]
-    return _orbit(cycles, memoryview(lab), _gather(lab[children], first, stop),
+    return _orbit(cycles, memoryview(lab), lab[_gather(children, first, stop)],
                   np.append(0, np.cumsum(stop - first)), children, child_start)
 
 
-def _peel(f, level, indeg, height, h):
-    """One level of the leaf peel, in numpy: the points that have no
-    preimage left once `level` is peeled, in the order in which a queue
-    reading `level` reaches them, that is by the position of their last
-    child in `level`.  Takes the peeled points off `indeg` and gives every
-    point they map to the height h."""
-    at = _stable_order(f[level], len(f))  # the children of a parent together
-    parent = f[level[at]]
-    last = np.append(np.flatnonzero(parent[1:] != parent[:-1]), len(level) - 1)
+def _peel_tree(f, leaves, at, parent, indeg, height):
+    """Peel the tree points off, one height level at a time, from the leaves
+    and their grouping `at`, `parent` by parent as `_group` gives it: in
+    numpy while a level is wide, then in a Python queue.  Leaves `indeg`
+    nonzero exactly on the cycle points, and returns the other points that
+    have children, in peel order, which lists them by height."""
+    levels, level = [], leaves
+    while len(level) >= WIDE_LEVEL:
+        if levels:
+            at, parent = _group(f, level)
+        levels.append(level)
+        level = _peel(at, parent, indeg, height, len(levels))
+    queue = _peel_queue(level.tolist(), memoryview(f), memoryview(indeg), memoryview(height))
+    levels += [level, np.array(queue, dtype=np.int64)[len(level):]]
+    return np.concatenate(levels[1:])
+
+
+def _children(leaves, leaf_parent, kids, kid_parent, n):
+    """The CSR children and their offsets, from the leaves and the other
+    tree points, each grouped by parent, and their parents: each parent's
+    run holds its leaves and then its other children, in the given orders.
+    Also returns the positions of the other children in the CSR array."""
+    child_start = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(kid_parent, minlength=n).cumsum(out=child_start[1:])
+    children = np.empty(len(leaves) + len(kids), dtype=np.int64)
+    children[child_start[leaf_parent] + np.arange(len(leaves))] = leaves
+    slot = np.zeros(n + 1, dtype=np.int64)
+    np.bincount(leaf_parent, minlength=n).cumsum(out=slot[1:])
+    child_start += slot
+    slot = slot[kid_parent + 1] + np.arange(len(kids))
+    children[slot] = kids
+    return children, child_start, slot
+
+
+def _group(f, points):
+    """The stable order that groups `points` by parent, and their parents in
+    that order."""
+    parent = f[points]
+    at = _stable_order(parent, len(f))
+    return at, parent[at]
+
+
+def _peel(at, parent, indeg, height, h):
+    """One level of the leaf peel, in numpy, from the order `at` that
+    groups the level's points by parent and their parents `parent` in that
+    order: the points that have no preimage left once the level is peeled,
+    in the order in which a queue reading the level reaches them, that is by
+    the position of their last child in it.  Takes the peeled points off
+    `indeg` and gives every point they map to the height h."""
+    last = np.append(np.flatnonzero(parent[1:] != parent[:-1]), len(at) - 1)
     parent, at = parent[last], at[last]  # each parent once, with its last child
     indeg[parent] -= np.diff(last, prepend=-1)
     height[parent] = h
@@ -316,14 +362,20 @@ def _orbit(cycles, label, shapes, shape_start, children, child_start) -> OrbitSt
 def _stable_order(key, bound):
     """key.argsort(kind="stable"), for an int64 key with entries in range(bound).
 
-    Where it fits in int64, a plain sort of key * len(key) + position does
-    the same: those values are unique.  On 10**5 random keys that took 1.6 ms
+    Where it fits in int64, a plain sort of key << shift | position does the
+    same, with shift the bits a position takes: those values are unique, and
+    their low bits are the order.  On 10**5 random keys that took 1.6 ms
     against 13 ms (on the machine named at WIDE_LEVEL).
     """
     size = len(key)
-    if bound * size > 2 ** 63:  # Python integers: this product cannot overflow
+    shift = (size - 1).bit_length()
+    if bound << shift > 2 ** 63:  # Python integers: this shift cannot overflow
         return key.argsort(kind="stable")
-    return np.sort(key * size + np.arange(size)) % size
+    order = key << shift
+    order |= np.arange(size)
+    order.sort()
+    order &= (1 << shift) - 1
+    return order
 
 
 def _gather(values, first, stop):
@@ -430,16 +482,40 @@ def are_conjugate(a: FiniteDynSys, b: FiniteDynSys):
     if (a_orbit.keys != b_orbit.keys or not np.array_equal(a_orbit.shapes, b_orbit.shapes)
             or not np.array_equal(a_orbit.shape_start, b_orbit.shape_start)):
         return None
-    # equal keys pair the cycles point by point; children are sorted by
-    # label, so equal multisets pair up in order, level after level
-    sigma = np.empty(a.n, dtype=np.int64)
-    sigma[_breadth_first(a_orbit)] = _breadth_first(b_orbit)
-    return ConjugacyWitness(a, b, sigma)
+    return ConjugacyWitness(a, b, _matching(a_orbit, b_orbit))
 
 
-def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
-    """Every point: the cycles in order, then level after level of their
-    in-trees, each point's children in CSR order.
+def _matching(a_orbit: OrbitStructure, b_orbit: OrbitStructure) -> np.ndarray:
+    """The witness of two conjugate systems: equal keys pair the cycles point
+    by point; children are sorted by label, so equal multisets pair up in
+    order, level after level, each child with the child at the same CSR
+    index of its parent's image.  The walks pass over the leaves, which lead
+    every run; then one gather a side pairs each point's leaves with those
+    of its image."""
+    a_past, b_past = _leaf_ends(a_orbit), _leaf_ends(b_orbit)
+    sigma = np.empty(len(a_past), dtype=np.int64)
+    sigma[_breadth_first(a_orbit, a_past)] = _breadth_first(b_orbit, b_past)
+    p = np.flatnonzero(a_past > a_orbit.child_start[:-1])  # the points with leaves
+    q = sigma[p]
+    leaves = _gather(b_orbit.children, b_orbit.child_start[q], b_past[q])
+    sigma[_gather(a_orbit.children, a_orbit.child_start[p], a_past[p])] = leaves
+    return sigma
+
+
+def _leaf_ends(orbit: OrbitStructure) -> np.ndarray:
+    """Per point, the offset in `children` where its leaves end: a leaf is
+    a child with no children, and the leaves lead every run."""
+    children, child_start = orbit.children, orbit.child_start
+    leaves = np.zeros(len(children) + 1, dtype=np.int64)  # leaves before each offset
+    np.cumsum((child_start[1:] == child_start[:-1])[children], out=leaves[1:])
+    return child_start[:-1] + np.diff(leaves[child_start])
+
+
+def _breadth_first(orbit: OrbitStructure, past: np.ndarray) -> np.ndarray:
+    """The cycle points and the points with children, breadth first: the
+    cycles in order, then level after level of their in-trees, each point's
+    children in CSR order.  The leaves are passed over: a point's children
+    from `past`, the offsets `_leaf_ends` gives, on are the ones walked.
 
     A narrow queue is read point by point in Python until a point's
     children would make what it holds unread wide; that run of children
@@ -449,13 +525,13 @@ def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
     children, in order, either way.
     """
     children, child_start = orbit.children, orbit.child_start
-    kids, start = memoryview(children), memoryview(child_start)
+    kids, start, end = memoryview(children), memoryview(past), memoryview(child_start)
     queue = [p for cycle in orbit.cycles for p in cycle]
     done = []
     while queue:
         if len(queue) < WIDE_LEVEL:
             for i, x in enumerate(queue):  # grows while it is read
-                a, b = start[x], start[x + 1]
+                a, b = start[x], end[x + 1]
                 if b - a == 1:
                     queue.append(kids[a])
                 elif len(queue) - i + b - a > WIDE_LEVEL:  # len(queue) - i - 1 + b - a unread
@@ -471,7 +547,7 @@ def _breadth_first(orbit: OrbitStructure) -> np.ndarray:
             queue = np.array(queue, dtype=np.int64)
         while len(queue) >= WIDE_LEVEL:
             done.append(queue)
-            queue = _gather(children, child_start[queue], child_start[queue + 1])
+            queue = _gather(children, past[queue], child_start[queue + 1])
         queue = queue.tolist()
     return np.concatenate(done)
 

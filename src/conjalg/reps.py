@@ -259,16 +259,15 @@ def spectral_radius_estimate(u: SkewPoly, N: int = DEFAULT_TRUNC) -> float:
         raise ValueError("N must be at least 1, not %d" % N)
     if u.is_zero():
         return 0.0
+    _warn_if_truncated(u, N + 1)
     if not np.any(u.coeffs[0]):
-        _warn_if_truncated(u, N + 1)
         logs = [math.log(a) if a else -math.inf for a in np.abs(u.coeffs[1]).tolist()]
         top = max(sum(map(logs.__getitem__, TruncatedRep(u.system, x, N).orbit()))
                   for x in range(u.system.n))
         return math.exp(top / N)  # 0.0 if every orbit meets a zero of f_1 within N steps
-    best = 0.0
+    best, orb = 0.0, _orbits(u.system, N + 1)
     for x in range(u.system.n):
-        M = rep_matrix(TruncatedRep(u.system, x, N + 1), u)
-        R, log_scale = _scaled_power(M, N)
+        R, log_scale = _scaled_power(_image(orb[x], u.coeffs, N + 1, "backward"), N)
         nrm = operator_norm(R)
         if nrm:
             best = max(best, math.exp((log_scale + math.log(nrm)) / N))

@@ -276,9 +276,8 @@ def leafy_cycle(leaves):
     return np.concatenate([(np.arange(m) + 1) % m, np.repeat(np.arange(m), leaves)])
 
 
-def test_numpy_and_python_levels_agree(monkeypatch):
-    """Every level peeled, ranked and walked with numpy, every level in
-    Python, or the default mix: the same orbit structure and the same witness."""
+def level_pairs():
+    """Pairs (a, relabelled a) whose levels fall on either side of WIDE_LEVEL."""
     rng = np.random.default_rng(7)
     pairs = []
     for i in range(210):
@@ -318,12 +317,81 @@ def test_numpy_and_python_levels_agree(monkeypatch):
     for table in tables:
         a = FiniteDynSys(len(table), table)
         pairs.append((a, relabel(a, rng.permutation(len(table)))))
+    return pairs
+
+
+def test_numpy_and_python_levels_agree(monkeypatch):
+    """Every level peeled, ranked and walked with numpy, every level in
+    Python, or the default mix: the same orbit structure and the same witness."""
+    pairs = level_pairs()
     results = []
     for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
         monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
         results.append([(orbit_structure(a), orbit_structure(b), are_conjugate(a, b).bijection)
                         for a, b in pairs])
     assert results[0] == results[1] == results[2]
+
+
+def plain_breadth_first(orbit):
+    """Every point, breadth first in plain Python: the cycles in key order,
+    then each point's children in `children_of` order."""
+    order = [p for cycle in orbit.cycles for p in cycle]
+    for x in order:  # grows while it is read
+        order += orbit.children_of(x)
+    return order
+
+
+def test_witness_pairs_the_plain_breadth_first_orders(monkeypatch):
+    """The witness is the bijection that pairs the two systems' plain
+    breadth-first orders point by point, whichever levels numpy takes and
+    however many leaves the walk passes over."""
+    rng = np.random.default_rng(8)
+    pairs = level_pairs()
+    for table in [star(1000, rng) for _ in range(3)] + [caterpillar(1000), leafy_broom(1000, rng)]:
+        a = FiniteDynSys(1000, table)
+        pairs.append((a, relabel(a, rng.permutation(1000))))
+    expected = []
+    for a, b in pairs:
+        sigma = np.empty(a.n, dtype=np.int64)
+        sigma[plain_breadth_first(orbit_structure(a))] = plain_breadth_first(orbit_structure(b))
+        expected.append(tuple(sigma.tolist()))
+    for wide in (1, dynsys.WIDE_LEVEL, 10 ** 9):
+        monkeypatch.setattr(dynsys, "WIDE_LEVEL", wide)
+        assert [are_conjugate(a, b).bijection for a, b in pairs] == expected
+
+
+def point_labels(orbit):
+    """Each point's label, read back from the shape table: the row that
+    holds its children's sorted labels."""
+    start = orbit.shape_start.tolist()
+    row = {tuple(orbit.shapes[lo:hi].tolist()): label
+           for label, (lo, hi) in enumerate(zip(start[:-1], start[1:]))}
+    label = {}
+    for p in reversed(plain_breadth_first(orbit)):  # children before parents
+        label[p] = row[tuple(sorted(label[c] for c in orbit.children_of(p)))]
+    return label
+
+
+def test_child_runs_hold_leaves_in_id_order_then_other_children_by_label():
+    """The CSR order the walk relies on: each parent's run starts with its
+    leaves, the points no point maps to, in ascending id, followed by its
+    other children in ascending label."""
+    rng = np.random.default_rng(13)
+    tables = [hub_star([3] * 70), hub_star(np.arange(1, 71)), hub_star([2] * 63),
+              leafy_cycle(rng.integers(0, 4, 200)), leafy_cycle([0, 70, 1]),
+              star(1000, rng), star(3000, rng), caterpillar(1000), caterpillar(64)]
+    tables += [rng.integers(0, n, n) for n in (5, 60, 300, 1000, 3000)]
+    for table in tables:
+        n = len(table)
+        orbit = orbit_structure(FiniteDynSys(n, table))
+        is_leaf = np.bincount(table, minlength=n) == 0
+        label = point_labels(orbit)
+        for p in range(n):
+            run = orbit.children_of(p)
+            leaves = sorted(c for c in run if is_leaf[c])
+            assert list(run[:len(leaves)]) == leaves
+            rest = [label[c] for c in run[len(leaves):]]
+            assert rest == sorted(rest) and 0 not in rest
 
 
 def test_shape_table_is_a_valid_ahu_table():

@@ -187,6 +187,18 @@ def test_norm_estimate_warns_once_on_behalf_of_its_caller():
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("constant", [0, 1])
+def test_spectral_radius_warns_once_on_behalf_of_its_caller(constant):
+    """With or without a constant term: one warning per call, not one per
+    base point, and it names the caller's line."""
+    cycle = FiniteDynSys(3, (1, 2, 0))
+    u = SkewPoly.constant(cycle, [constant] * 3) + SkewPoly.monomial(cycle, [1, 2, 3], 3)
+    with pytest.warns(UserWarning, match="degree 3 >= truncation 3") as caught:
+        spectral_radius_estimate(u, 2)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_gram_bands_match_the_dense_product():
     rng = np.random.default_rng(23)
