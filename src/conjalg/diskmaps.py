@@ -32,6 +32,7 @@ INFINITY_BAND = 1e-6     # |c| of a half-plane conjugate fixing infinity; p has 
 INVARIANT_TOL = 1e-8     # two normal-form invariants agree
 KAPPA_CUTOFF = 1e-10     # smaller |kappa|: a pure rotation, whose phase needs no aligning
 POLE_GUARD = 1e-300      # |cz + d| below which z is the pole
+ENTRY_LIMIT = 2.0 ** 1023  # largest sum of the moduli of the entries at determinant one
 
 
 class MobiusError(ValueError):
@@ -72,8 +73,15 @@ def _normalize(a, b, c, d):
         raise MobiusError("matrix is singular")
     s = cmath.sqrt(det)
     a, b, c, d = a / s, b / s, c / s, d / s
-    # dividing by |s| >= 1 cannot overflow; by a smaller root an entry can
-    if abs(s) < 1 and not all(map(cmath.isfinite, (a, b, c, d))):
+    # dividing by a root |s| < 1 can overflow an entry.  Within ENTRY_LIMIT
+    # no entry, nor the sum of two, has a modulus past the float range, where
+    # abs() raises OverflowError.  On a disk self-map every entry is at most
+    # |d| + 1, so a map past it has m'(0) = 1/d^2 below the float range
+    try:
+        size = abs(a) + abs(b) + abs(c) + abs(d)
+    except OverflowError:  # one modulus alone is past the float range
+        size = math.inf
+    if not size <= ENTRY_LIMIT:
         raise MobiusError("no determinant-one form in floating point")
     # the sign of the root: the trace, or else the first coefficient that is
     # not zero, points into the right half-plane
@@ -204,7 +212,10 @@ def _image_disk(a, b, c, d):
     both are divided through by |d|^2, so that no product overflows.
     """
     q = c / d if d else math.inf
-    s = 1 - abs(q) * abs(q)  # D / |d|^2; a product saturates where a square raises
+    try:
+        s = 1 - abs(q) * abs(q)  # D / |d|^2; a product saturates where a square raises
+    except OverflowError:  # |q| past the float range: |c| > |d|
+        return None
     if not s > 0:
         return None
     return (b - a * q.conjugate()) / d / s, 1 / s / abs(d) / abs(d)
@@ -213,14 +224,20 @@ def _image_disk(a, b, c, d):
 def maps_disk_to_disk(m: MobiusMap) -> bool:
     """m sends the closed disk into itself: max |m(z)| = |c0| + r <= 1."""
     disk = _image_disk(m.a, m.b, m.c, m.d)
-    return disk is not None and abs(disk[0]) + disk[1] <= 1 + TOL
+    try:
+        return disk is not None and abs(disk[0]) + disk[1] <= 1 + TOL
+    except OverflowError:  # |c0| past the float range
+        return False
 
 
 def is_disk_automorphism(m: MobiusMap, tol: float = TOL) -> bool:
     """m maps the disk onto itself: while r >= |c0|, the largest value of
     ||m(z)| - 1| on the unit circle is |c0| + |r - 1|."""
     disk = _image_disk(m.a, m.b, m.c, m.d)
-    return disk is not None and abs(disk[0]) + abs(disk[1] - 1) <= tol
+    try:
+        return disk is not None and abs(disk[0]) + abs(disk[1] - 1) <= tol
+    except OverflowError:  # |c0| past the float range
+        return False
 
 
 def _location(z: complex) -> str:
@@ -320,9 +337,10 @@ def classify(m: MobiusMap) -> DiskClassification:
         return DiskClassification(kind, tuple([interior[0]] + rest), lam)
 
     # a double fixed point is detected from the trace, which is stable under
-    # conjugation, rather than from the numerically split roots
-    t2 = (m.a + m.d) ** 2
-    if abs(t2 - 4) <= TRACE_BAND and (auto or abs(m.c) > TOL):
+    # conjugation, rather than from the numerically split roots; |tr| < 3
+    # keeps the square in the float range
+    tr = m.a + m.d
+    if abs(tr) < 3 and abs(tr ** 2 - 4) <= TRACE_BAND and (auto or abs(m.c) > TOL):
         z = (m.a - m.d) / (2 * m.c) if abs(m.c) > TOL else boundary[0][0]
         kind, lam = (KIND_PARABOLIC, 1.0 + 0.0j) if auto else (KIND_NONELLIPTIC_NONAUTO, mult(z))
         return DiskClassification(kind, ((z, "boundary"),), lam)

@@ -1,4 +1,5 @@
-"""Relabel invariance of the finite conjugacy decision at 10**6 points.
+"""The finite conjugacy decision at 10**6 points: relabel invariance, and a
+one-leaf variant that is not conjugate.
 
     python tests/scale_check.py
 
@@ -7,9 +8,13 @@ points with one leaf on each), 2 chains hanging on a 2-cycle and 8 chains
 hanging on an 8-cycle, of 10**6 points each, the script builds a system a and
 b = relabel(a, sigma) for a random permutation sigma.  It checks that
 are_conjugate(a, b) returns a witness, which ConjugacyWitness verifies point
-by point, and that the two canonical forms are equal.  It prints the seconds
-that are_conjugate and each of the two canonical_form calls took on each
-shape, and exits 1 if any check fails; the times are reported, never gated.
+by point, and that the two canonical forms are equal.  It then moves one leaf
+of a onto its grandparent, one step nearer the cycles (on the cycle, which
+has no leaf, it takes one point off the cycle), relabels that variant at
+random and checks that are_conjugate calls it not conjugate.  It prints the
+seconds that are_conjugate and each of the two canonical_form calls took on
+each shape, and are_conjugate's seconds on the variant, and exits 1 if any
+check fails; the times are reported, never gated.
 
 pytest does not collect this file: its name does not start with `test_`.
 `tests/test_dynsys.py` imports its shape builders at smaller sizes.
@@ -62,6 +67,30 @@ SHAPES = {
 }
 
 
+def leaf_variant(table, rng):
+    """`table` with one leaf, drawn at random from those whose parent lies
+    off the cycles, hung on its grandparent: its distance to the cycles
+    drops by one and no other point's changes, so the multiset of those
+    distances, a conjugacy invariant, differs.  With no such leaf, the last
+    point that maps to 0 maps to 1 instead, which changes the cycle lengths.
+
+    The cycle points are the image of the map's 2**k-th power for the k
+    with 2**k > N, found by k squarings."""
+    power = table
+    for _ in range(N.bit_length()):
+        power = power[power]
+    on_cycle = np.zeros(N, dtype=bool)
+    on_cycle[power] = True
+    leaves = np.flatnonzero((np.bincount(table, minlength=N) == 0) & ~on_cycle[table])
+    variant = table.copy()
+    if len(leaves):
+        leaf = rng.choice(leaves)
+        variant[leaf] = table[table[leaf]]
+    else:
+        variant[np.flatnonzero(table == 0)[-1]] = 1
+    return variant
+
+
 def timed(call, *args):
     """call(*args) and the seconds it took."""
     start = time.perf_counter()
@@ -73,14 +102,19 @@ def main() -> int:
     failed = []
     for name, build in SHAPES.items():
         rng = np.random.default_rng(0)
-        a = FiniteDynSys(N, build(rng))
+        table = build(rng)
+        a = FiniteDynSys(N, table)
         b = relabel(a, rng.permutation(N))
         witness, seconds = timed(are_conjugate, a, b)
         form_a, seconds_a = timed(canonical_form, a)
         form_b, seconds_b = timed(canonical_form, b)
-        ok = witness is not None and form_a == form_b
-        print("%-11s n=%d  are_conjugate %.2f s  canonical_form %.2f s, %.2f s  %s"
-              % (name, N, seconds, seconds_a, seconds_b, "ok" if ok else "FAILED"), flush=True)
+        c = relabel(FiniteDynSys(N, leaf_variant(table, rng)), rng.permutation(N))
+        no, seconds_no = timed(are_conjugate, a, c)
+        ok = witness is not None and form_a == form_b and no is None
+        print("%-11s n=%d  are_conjugate %.2f s  canonical_form %.2f s, %.2f s  "
+              "variant: are_conjugate %.2f s  %s"
+              % (name, N, seconds, seconds_a, seconds_b, seconds_no, "ok" if ok else "FAILED"),
+              flush=True)
         if not ok:
             failed.append(name)
     return 1 if failed else 0

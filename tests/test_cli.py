@@ -198,6 +198,20 @@ def test_disk_classify_huge_scale_identity(tmp_path, capsys):
     assert report["kind"] == "identity"
 
 
+@pytest.mark.parametrize("command", ["classify", "conjugate", "iso"])
+def test_disk_map_past_the_float_range_is_a_parse_error(tmp_path, capsys, command):
+    # z -> 0.5/(z + 1e308 (1 + i)) maps the disk into itself, but at
+    # determinant one |d| is about 2e308, past the float range
+    m = write_json(tmp_path, "m.json", {"matrix": [[0, 0], [0.5, 0], [1, 0], [1e308, 1e308]]})
+    half = write_json(tmp_path, "half.json", {"preset": "blaschke_half"})
+    for argv in ([m, m], [m, half], [half, m]) if command != "classify" else ([m],):
+        code = main(["disk", command] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad Mobius map JSON")
+        assert "Overflow" not in captured.err
+
+
 def test_disk_conjugate(tmp_path, capsys):
     c = [0.6, 0.8]
     m1 = write_json(tmp_path, "m1.json", {"preset": "rotation", "c": c})

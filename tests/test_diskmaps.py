@@ -625,6 +625,28 @@ def test_no_determinant_one_form_is_a_mobius_error():
     # det = 5e-620: at determinant one the entry a would be about 2e309
     with pytest.raises(MobiusError):
         MobiusMap(1j, 2.225073858507e-311j, 2.225073858507203e-309j, 0)
+    # det = -0.5: at determinant one d has parts of 1.4e308 and a modulus of 2e308
+    with pytest.raises(MobiusError):
+        MobiusMap(0, 0.5, 1, 1e308 + 1e308j)
+
+
+@pytest.mark.parametrize("entries, self_map", [
+    ((5e-324 + 4.4989137945431964e161j, 5e-324 + 1e200j, 8.98846567431158e307 - 1.7e308j, 1),
+     False),  # |c/d| past the float range
+    ((-1 + 0.7j, -1.7e308, 1 + 5e-324j, -1 - 1j), False),  # the centre of the image disk
+    ((-5e-324 + 5e-324j, -1.7e308 + 4.4989137945431964e161j, -0.5 + 2.2e-311j, 1e-9 - 1.7e308j),
+     True),  # the square of the trace
+])
+def test_entries_near_the_float_limit_raise_no_overflow(entries, self_map):
+    """A modulus, or a square, past the float range inside the disk tests or
+    the trace test of `classify` raises no OverflowError."""
+    m = MobiusMap(*entries)
+    assert maps_disk_to_disk(m) is self_map and not is_disk_automorphism(m)
+    if self_map:
+        assert classify(m).kind == KIND_NONELLIPTIC_NONAUTO
+    else:
+        with pytest.raises(NotDiskMapError):
+            classify(m)
 
 
 def test_radial_square_witness():

@@ -1,9 +1,10 @@
+import collections
 import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conjalg import dynsys
 from conjalg.dynsys import (
@@ -318,6 +319,83 @@ def level_pairs():
         a = FiniteDynSys(len(table), table)
         pairs.append((a, relabel(a, rng.permutation(len(table)))))
     return pairs
+
+
+def peel_invariants(sys):
+    """The height histogram and the sorted cycle lengths of a small system,
+    in plain Python: a point lies on a cycle when it comes back to itself,
+    and its height is 0 without children off the cycles, else one more than
+    its tallest such child's."""
+    table, n = sys.map.tolist(), sys.n
+    length = []
+    for x in range(n):
+        y, k = table[x], 1
+        while y != x and k <= n:
+            y, k = table[y], k + 1
+        length.append(k if y == x else 0)
+
+    def height(x):
+        return max((height(c) + 1 for c in range(n) if table[c] == x and not length[c]), default=0)
+
+    points = collections.Counter(k for k in length if k)  # a cycle of k points counts k times
+    return (np.bincount([height(x) for x in range(n)]).tolist(),
+            sorted(k for k, count in points.items() for _ in range(count // k)))
+
+
+def rehung_leaf(table):
+    """`table` with its first leaf hung on its last leaf."""
+    table = np.array(table)
+    leaves = np.flatnonzero(np.bincount(table, minlength=len(table)) == 0)
+    table[leaves[0]] = leaves[-1]
+    return table
+
+
+@pytest.mark.parametrize("a, b", [
+    ((0, 0, 1), (0, 0, 0)),  # heights 0, 1, 2 against 0, 0, 1
+    ((1, 0, 2), (1, 2, 0)),  # all of height 0; cycles of 1 and 2 points against one of 3
+    (leafy_cycle([1] * 100), rehung_leaf(leafy_cycle([1] * 100))),  # two wide levels, then three
+])
+def test_peels_that_differ_decide_before_any_label(monkeypatch, a, b):
+    """Equal sizes, but height histograms or cycle lengths that differ: the
+    answer is "no" without a label, since a conjugacy keeps both."""
+    a, b = FiniteDynSys(len(a), a), FiniteDynSys(len(b), b)
+    assert peel_invariants(a) != peel_invariants(b)
+
+    def fail(*args):
+        raise AssertionError("the label stage ran")
+
+    monkeypatch.setattr(dynsys, "_rank_rows", fail)
+    monkeypatch.setattr(dynsys, "_label_levels", fail)
+    assert are_conjugate(a, b) is None
+    with pytest.raises(AssertionError):  # the patch does stop the label stage
+        are_conjugate(a, a)
+
+
+def leads_to(table, y, x):
+    """Whether x lies on the path y, table[y], table[table[y]], ..."""
+    for _ in range(len(table)):
+        if y == x:
+            return True
+        y = table[y]
+    return False
+
+
+@given(systems(), st.data())
+def test_decision_matches_oracle_where_the_peels_agree(a, data):
+    """One map entry changed, a point off the cycles hung on a new parent
+    outside its own tree, then relabelled: the cycle lengths stay, and where
+    the height histograms agree too, only the labels can tell the pair
+    apart, and the verdict is the oracle's."""
+    table = a.map.tolist()
+    off_cycles = [x for x in range(a.n) if not leads_to(table, table[x], x)]
+    assume(off_cycles)
+    x = data.draw(st.sampled_from(off_cycles))
+    parents = [y for y in range(a.n) if y != table[x] and not leads_to(table, y, x)]
+    assume(parents)
+    table[x] = data.draw(st.sampled_from(parents))
+    b = relabel(FiniteDynSys(a.n, table), data.draw(st.permutations(range(a.n))))
+    assume(peel_invariants(a) == peel_invariants(b))
+    assert (are_conjugate(a, b) is None) == (brute_force_conjugate(a, b) is None)
 
 
 def test_numpy_and_python_levels_agree(monkeypatch):
