@@ -84,7 +84,8 @@ def validate_report(obj) -> bool:
 
 
 def _emit(report):
-    assert validate_report(report)
+    if not validate_report(report):  # a NaN, say, which json.dumps writes as invalid JSON
+        raise ValueError("the report is not valid JSON")  # main names the command and exits 3
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 

@@ -175,7 +175,11 @@ def mobius_derivative(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
     if abs(den) < POLE_GUARD:
         raise PoleError("derivative at a pole")
-    return 1.0 / (den * den)  # det is one
+    square = den * den
+    if not cmath.isfinite(square):  # inf - inf in the product gives NaN; 1 / den does not overflow
+        inverse = 1.0 / den
+        return inverse * inverse
+    return 1.0 / square  # det is one
 
 
 def _entries(m: MobiusMap):

@@ -173,6 +173,24 @@ def _below(bands, x: int, r: float) -> bool:
     return True
 
 
+def _visit_order(bands, lower, upper) -> list:
+    """The points x with g_x >= (1 - CHOLESKY_MARGIN) max_y l_y^2, by the
+    largest eigenvalue of the leading k x k block of G_x, k = N // 4 (1 below
+    N = 4), descending; see `norm_estimate`.  Any other point has a norm
+    below that of the point with the largest l_y, by the margin.  The
+    blocks' upper triangles, all eigvalsh reads, are written from the bands
+    into one array.
+    """
+    N = bands[0].shape[1]
+    k = max(N // 4, 1)
+    points = np.flatnonzero(upper >= (1 - CHOLESKY_MARGIN) * lower.max())
+    blocks = np.zeros((len(points), k * k), dtype=complex)
+    for s, band in enumerate(bands[:k]):
+        blocks[:, s:k * (k - s):k + 1] = band[points, :k - s]  # G_x[c, c + s]
+    top = np.linalg.eigvalsh(blocks.reshape(-1, k, k), UPLO="U")[:, -1]
+    return points[np.argsort(-top, kind="stable")].tolist()
+
+
 def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backward") -> float:
     """Lower bound for the algebra norm: max over every base point x of
     ||pi_x(p)|| at truncation N, in the given convention.
@@ -182,22 +200,30 @@ def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backwa
     the Gram matrices G_x of pi_x(p) / t, t the largest |f_k|, come from
     their d + 1 bands for all points at once (`_scaled_gram`), with two
     bounds per point: l_x^2 = max diag G_x <= ||pi_x(p) / t||^2 <= g_x, the
-    Gershgorin bound.  Points are visited in descending l_x, so the first
-    SVD falls on the likely maximiser.  With s the largest SVD value so far
-    and r = (s / t)^2, a point with g_x < (1 - CHOLESKY_MARGIN) r is skipped;
-    one with l_x^2 >= r takes its SVD; any other is skipped if a Cholesky
-    factorisation of (1 - CHOLESKY_MARGIN) I - G_x / r, built densely from
-    the bands with no product, succeeds, and takes its SVD otherwise.  The
-    forward image is the transpose, whose norm is the same, so the backward
-    bands bound both conventions.  One base point takes its SVD directly.
+    Gershgorin bound.  The points that can hold the maximum, those with
+    g_x >= (1 - CHOLESKY_MARGIN) max_y l_y^2, are visited in descending order
+    of the largest eigenvalue of the leading (N // 4) x (N // 4) block of
+    G_x (`_visit_order`).  As pi_x(p) is upper triangular, that block is the
+    Gram matrix of its truncation at N // 4, so the first SVD falls on the
+    point with the largest norm at a quarter of the truncation, nearly always
+    the maximiser.  With s the largest SVD value so far and r = (s / t)^2,
+    every point takes its SVD while s < t.  Afterwards a point with
+    g_x < (1 - CHOLESKY_MARGIN) r is skipped; one with l_x^2 >= r takes its
+    SVD; any other is skipped if a Cholesky factorisation of
+    (1 - CHOLESKY_MARGIN) I - G_x / r, built densely from the bands with no
+    product, succeeds, and takes its SVD otherwise.  The forward image is the
+    transpose, whose norm is the same, so the backward bands bound both
+    conventions.  One base point takes its SVD directly.
 
     The bounds are safe: every scaled entry has modulus <= 1, so no Gram
-    term overflows; the point holding the entry t has l_x >= 1 and the first
-    SVD lands on the largest l_x, so r >= 1 afterwards.  Rounding in the band
-    sums (of order d * machine epsilon), underflowed terms (below 1e-308) and
+    term overflows, and r >= 1 at every bound.  Rounding in the band sums
+    (of order d * machine epsilon), underflowed terms (below 1e-308) and
     Cholesky's backward error (of order N * machine epsilon) then lie far
-    below the margin, so a skipped point has ||pi_x(p)|| < s.  The value is
-    the per-point maximum of SVD values, bit for bit.
+    below the margin, so a skipped point has ||pi_x(p)|| < s.  The entry t
+    lies in row 0 of the image based where it is taken, inside its leading
+    block when d < N // 4; then the first point visited has a block of norm
+    at least t, so s >= t from the first SVD on.  The value is the per-point
+    maximum of SVD values, bit for bit.
     """
     TruncatedRep(p.system, 0, N, convention)  # raises on a bad N or convention
     _warn_if_truncated(p, N)
@@ -209,8 +235,8 @@ def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backwa
         return 0.0
     lower, upper = _gram_bounds(bands)
     best = 0.0
-    for x in np.argsort(-lower, kind="stable").tolist():
-        if best:
+    for x in _visit_order(bands, lower, upper):
+        if best >= t:
             r = (best / t) ** 2
             if upper[x] < (1 - CHOLESKY_MARGIN) * r or (lower[x] < r and _below(bands, x, r)):
                 continue

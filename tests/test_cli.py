@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,27 @@ def test_disk_map_past_the_float_range_is_a_parse_error(tmp_path, capsys, comman
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: bad Mobius map JSON")
         assert "Overflow" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["classify", "conjugate", "iso"])
+def test_disk_map_whose_derivative_squares_past_the_float_range(tmp_path, capsys, command):
+    # at the interior fixed point |cz + d| is about 1.4e236, so (cz + d)^2 overflows
+    m = write_json(tmp_path, "m.json", {"matrix": [[2.2e-311, 5e-324], [3, 1e-320], [0, 1e-308],
+                                                   [4.4989137945431964e+161, 0.5]]})
+    code, report = run(capsys, ["disk", command] + [m] * (1 if command == "classify" else 2))
+    assert code == 0
+    if command == "classify":
+        assert report["kind"] == "elliptic_nonautomorphism"
+        assert all(math.isfinite(v) for v in report["multiplier"])
+
+
+def test_a_report_that_is_not_json_never_reaches_stdout(tmp_path, capsys, monkeypatch):
+    # json.dumps would write NaN, which is not JSON; `python -O` strips an assert
+    monkeypatch.setattr(diskmaps.DiskClassification, "to_json",
+                        lambda cl: {"multiplier": [math.nan, math.nan]})
+    m = write_json(tmp_path, "m.json", {"preset": "blaschke_half"})
+    code = main(["disk", "classify", m])
+    assert_clean_failure(capsys, code, 3, "disk classify", "not valid JSON")
 
 
 def test_disk_conjugate(tmp_path, capsys):

@@ -179,6 +179,53 @@ def test_norm_estimate_takes_one_svd_when_a_later_point_dominates(monkeypatch):
     assert per_point_max(p, 16) == 10.0
 
 
+def test_norm_estimate_takes_one_svd_when_the_largest_column_is_not_the_maximiser(monkeypatch):
+    """Two fixed points: 1 + U at point 0 has the norm 2 cos(pi / 33) at N = 16
+    but column norms sqrt(2); 1.5 at point 1 has both 1.5.  Point 0's 4 x 4 Gram
+    block, that of its truncation at 4, has the norm 2 cos(pi / 9) > 1.5, so
+    point 0 comes first, and the Gershgorin bound rules out point 1."""
+    calls = []
+    svd = reps.operator_norm
+    monkeypatch.setattr(reps, "operator_norm", lambda M: calls.append(len(M)) or svd(M))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda H: pytest.fail("Cholesky was called"))
+    p = SkewPoly.make(FiniteDynSys(2, (0, 1)), [[1, 1.5], [1, 0]])
+    assert norm_estimate(p, 16) == per_point_max(p, 16) == pytest.approx(2 * math.cos(math.pi / 33))
+    assert calls == [16]
+
+
+def record_cholesky_ratios(monkeypatch):
+    """The r of every Cholesky test `norm_estimate` makes from now on."""
+    below, rs = reps._below, []
+    monkeypatch.setattr(reps, "_below", lambda bands, x, r: rs.append(r) or below(bands, x, r))
+    return rs
+
+
+@pytest.mark.parametrize("N", [32, 64, 128])
+def test_norm_estimate_tests_cholesky_only_at_or_above_the_largest_entry(monkeypatch, N):
+    """r = (best / t)^2 >= 1 at every Cholesky test, so the margin covers its
+    rounding; each draw still equals the per-point maximum."""
+    rs = record_cholesky_ratios(monkeypatch)
+    rng = np.random.default_rng(28)
+    for n in range(2, 9):
+        for _ in range(3):
+            sys = FiniteDynSys(n, rng.integers(0, n, n))
+            deg = int(rng.integers(1, 5))
+            p = SkewPoly.make(sys, list(rng.normal(size=(deg + 1, n)) + 1j * rng.normal(size=(deg + 1, n))))
+            assert norm_estimate(p, N) == per_point_max(p, N)
+    assert rs and min(rs) >= 1
+
+
+def test_norm_estimate_bounds_no_point_while_below_the_largest_entry(monkeypatch):
+    """Three fixed points at N = 4, so the blocks are 1 x 1: 3.3 (1 + U + U^2 + U^3)
+    comes first, with the norm 9.5 < t = 10, then 3.2 (1 + U + U^2 + U^3), whose
+    Gershgorin bound is not below r = 0.95^2 and whose column norms are.  A
+    Cholesky test there would run at r < 1; every point takes its SVD instead."""
+    rs = record_cholesky_ratios(monkeypatch)
+    p = SkewPoly.make(FiniteDynSys(3, (0, 1, 2)), [[3.3, 3.2, 0]] * 3 + [[3.3, 3.2, 10]])
+    assert norm_estimate(p, 4) == per_point_max(p, 4) == 10.0
+    assert rs == []
+
+
 def test_norm_estimate_warns_once_on_behalf_of_its_caller():
     p = SkewPoly.monomial(CHAIN, [1, 2, 3], 4)
     with pytest.warns(UserWarning, match="degree 4 >= truncation 4") as caught:
