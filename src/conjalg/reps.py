@@ -220,10 +220,11 @@ def norm_estimate(p: SkewPoly, N: int = DEFAULT_TRUNC, convention: str = "backwa
     (of order d * machine epsilon), underflowed terms (below 1e-308) and
     Cholesky's backward error (of order N * machine epsilon) then lie far
     below the margin, so a skipped point has ||pi_x(p)|| < s.  The entry t
-    lies in row 0 of the image based where it is taken, inside its leading
-    block when d < N // 4; then the first point visited has a block of norm
-    at least t, so s >= t from the first SVD on.  The value is the per-point
-    maximum of SVD values, bit for bit.
+    lies in row 0 of the image based where it is taken, so s >= t once that
+    point, or the one with the largest l_x, has taken its SVD; when d < N // 4
+    the entry also lies in that image's leading block, which in practice puts
+    a point of norm at least t first.  The value is the per-point maximum of
+    SVD values, bit for bit.
     """
     TruncatedRep(p.system, 0, N, convention)  # raises on a bad N or convention
     _warn_if_truncated(p, N)
