@@ -22,6 +22,7 @@ from conjalg.reps import (
 )
 from conjalg.skewpoly import SkewPoly, l1_norm, skew_mul
 from conjalg.verify import mat_dev, pencil_point, random_poly
+from rep_scale_check import workload_poly
 
 SWAP = FiniteDynSys(2, (1, 0))
 CHAIN = FiniteDynSys(3, (0, 0, 1))
@@ -244,6 +245,103 @@ def test_spectral_radius_warns_once_on_behalf_of_its_caller(constant):
         spectral_radius_estimate(u, 2)
     assert len(caught) == 1
     assert caught[0].filename == __file__
+
+
+def factors(H) -> bool:
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def sequential_dense_estimate(p, N, svds):
+    """The loop `norm_estimate` ran before its stacked block test: each point
+    that needs a Cholesky test takes its own, of H built densely from the
+    bands.  Appends each SVD value to svds."""
+    orb = reps._orbits(p.system, N)
+    t, bands = reps._scaled_gram(p, orb)
+    lower, upper = reps._gram_bounds(bands)
+
+    def below(x, r):
+        H = np.zeros((N, N), dtype=complex)
+        H.flat[::N + 1] = (1 - reps.CHOLESKY_MARGIN) - bands[0][x].real / r
+        for s, band in enumerate(bands[1:], 1):
+            H.flat[s:N * (N - s):N + 1] = band[x] / -r
+            H.flat[s * N::N + 1] = band[x].conj() / -r
+        return factors(H)
+
+    best = 0.0
+    for x in reps._visit_order(bands, lower, upper).tolist():
+        if best >= t:
+            r = (best / t) ** 2
+            if upper[x] < (1 - reps.CHOLESKY_MARGIN) * r or (lower[x] < r and below(x, r)):
+                continue
+        svds.append(operator_norm(reps._image(orb[x], p.coeffs, N, "backward")))
+        best = max(best, svds[-1])
+    return best
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_norm_estimate_matches_the_sequential_dense_loop(monkeypatch, N):
+    """Seed 1's 7-point polynomial visits point 4 first and holds its maximum
+    at point 3, so the running maximum grows after the stacked test: the value
+    and the SVDs taken are those of the loop that tests each point alone."""
+    p = workload_poly(1, 7)
+    norms = [operator_norm(rep_matrix(TruncatedRep(p.system, x, N), p)) for x in range(7)]
+    orb = reps._orbits(p.system, N)
+    bands = reps._scaled_gram(p, orb)[1]
+    assert reps._visit_order(bands, *reps._gram_bounds(bands))[0] != np.argmax(norms)
+    want = []
+    assert sequential_dense_estimate(p, N, want) == max(norms)
+    calls = []
+    svd = reps.operator_norm
+    monkeypatch.setattr(reps, "operator_norm", lambda M: calls.append(svd(M)) or calls[-1])
+    assert norm_estimate(p, N) == max(norms)
+    assert calls == want
+
+
+@pytest.mark.parametrize("N", [127, 128])
+def test_norm_estimate_factorises_no_matrix_wider_than_two_blocks(monkeypatch, N):
+    """At N = 127 the blocks are 32, 32 and 63 wide, at N = 128 four of 32."""
+    widths = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda H: widths.append(H.shape[-1]) or cholesky(H))
+    for seed in (0, 1):
+        for n in range(2, 9):
+            p = workload_poly(seed, n)
+            assert norm_estimate(p, N) == per_point_max(p, N)
+    assert max(widths) == {127: 63, 128: 32}[N]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_below_agrees_with_a_dense_cholesky():
+    """r is set just below, at and just above the largest eigenvalue of one
+    point's Gram matrix; at each r every point's decision, one at a time and
+    all stacked, is that of np.linalg.cholesky of the dense H, and a certified
+    point's norm lies below the root of r."""
+    rng = np.random.default_rng(29)
+    decisions = 0
+    for N in (5, 32, 33, 64, 77, 100, 128, 200):
+        for _ in range(2):
+            n, deg = int(rng.integers(1, 12)), int(rng.integers(1, 24))
+            sys = FiniteDynSys(n, rng.integers(0, n, n))
+            p = SkewPoly.make(sys, list(rng.normal(size=(deg + 1, n)) + 1j * rng.normal(size=(deg + 1, n))))
+            t, bands = reps._scaled_gram(p, reps._orbits(sys, N))
+            images = [rep_matrix(TruncatedRep(sys, x, N), p) / t for x in range(n)]
+            grams = [A.conj().T @ A for A in images]
+            norms = [operator_norm(A) for A in images]
+            for x in {int(np.argmax(norms)), int(rng.integers(0, n))}:
+                top = np.linalg.eigvalsh(grams[x])[-1]
+                for factor in (1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-7, 1 + 1e-5, 1.01):
+                    r = top * factor
+                    want = [factors((1 - reps.CHOLESKY_MARGIN) * np.eye(N) - G / r) for G in grams]
+                    got = [reps._below(bands, y, r) for y in range(n)]
+                    assert got == want
+                    assert reps._below(bands, np.arange(n), r) == all(want)
+                    assert all(norms[y] ** 2 < r for y in range(n) if got[y])
+                    decisions += n + 1
+    assert decisions > 1000
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -481,3 +579,11 @@ def test_fixed_derivative_function_product():
 
 def test_operator_norm():
     assert operator_norm(np.diag([3, -1])) == pytest.approx(3.0)
+
+
+def test_operator_norm_is_the_matrix_two_norm():
+    rng = np.random.default_rng(62)
+    for k in range(1, 129):
+        M = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        assert operator_norm(M) == np.linalg.norm(M, 2)
+    assert operator_norm(np.zeros((4, 4), dtype=complex)) == np.linalg.norm(np.zeros((4, 4)), 2) == 0.0
