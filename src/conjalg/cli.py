@@ -37,30 +37,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path):
+def _load(path, reader, what):
+    """reader(the JSON value in the file at path); a file that cannot be
+    read, parsed or built exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError("cannot read %s: %s" % (path, exc), EXIT_PARSE)
-
-
-def _load_system(path):
-    from . import dynsys
-
-    try:
-        return dynsys.FiniteDynSys.from_json(_load_json(path))
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
-
-
-def _load_mobius(path):
-    from . import diskmaps
-
-    try:
-        return diskmaps.MobiusMap.from_json(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("bad Mobius map JSON %s: %s" % (path, exc), EXIT_PARSE)
+            return reader(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError("bad %s JSON %s: %s" % (what, path, exc), EXIT_PARSE)
 
 
 def _decide(stage, *args):
@@ -73,8 +57,8 @@ def _decide(stage, *args):
 
 
 def validate_report(obj) -> bool:
-    """Schema check used by the round-trip property: a report is a JSON
-    object with a command tag, re-serialisable to the same bytes."""
+    """The tests' schema check: a report is a JSON object with a command
+    tag, re-serialisable to the same bytes."""
     if not isinstance(obj, dict) or "command" not in obj:
         return False
     try:
@@ -84,9 +68,11 @@ def validate_report(obj) -> bool:
 
 
 def _emit(report):
-    if not validate_report(report):  # a NaN, say, which json.dumps writes as invalid JSON
-        raise ValueError("the report is not valid JSON")  # main names the command and exits 3
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN, which is not JSON
+        raise ValueError("the report is not valid JSON") from None  # main exits 3
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +81,26 @@ def _emit(report):
 def cmd_finite(args):
     from . import dynsys
 
-    a = _load_system(args.a)
-    b = _load_system(args.b)
+    a = _load(args.a, dynsys.FiniteDynSys.from_json, "system")
+    b = _load(args.b, dynsys.FiniteDynSys.from_json, "system")
     w = dynsys.are_conjugate(a, b)
     report = {"command": "finite", "conjugate": w is not None}
     if w is not None:
-        report["witness"] = list(w.bijection)
+        report["witness"] = w.bijection
     return report
 
 
 def cmd_canon(args):
     from . import dynsys
 
-    sys_ = _load_system(args.system)
+    sys_ = _load(args.system, dynsys.FiniteDynSys.from_json, "system")
     return {"command": "canon", "canonical_form": dynsys.canonical_form(sys_), "format": 2}
 
 
 def cmd_char_space(args):
-    from . import charspace
+    from . import charspace, dynsys
 
-    sys_ = _load_system(args.system)
+    sys_ = _load(args.system, dynsys.FiniteDynSys.from_json, "system")
     report = charspace.build_catalog(sys_, args.radius).to_json()
     report["command"] = "char-space"
     return report
@@ -123,11 +109,7 @@ def cmd_char_space(args):
 def cmd_norms(args):
     from . import reps, skewpoly
 
-    obj = _load_json(args.poly)
-    try:
-        p = skewpoly.SkewPoly.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError("bad polynomial JSON: %s" % exc, EXIT_PARSE)
+    p = _load(args.poly, skewpoly.SkewPoly.from_json, "polynomial")
     sizes = sorted({min(args.trunc, max(2, args.trunc // 4)),
                     min(args.trunc, max(3, args.trunc // 2)), args.trunc})
     with warnings.catch_warnings(record=True) as caught:
@@ -148,17 +130,15 @@ def cmd_norms(args):
 def cmd_pencil_check(args):
     import numpy as np
 
-    from . import reps, verify
+    from . import dynsys, reps, verify
 
-    sys_ = _load_system(args.system)
-    if not 0 <= args.x < sys_.n:
-        raise CliError("base point %d out of range(%d)" % (args.x, sys_.n), EXIT_PARSE)
+    sys_ = _load(args.system, dynsys.FiniteDynSys.from_json, "system")
     z = complex(args.z_re, args.z_im)
     try:
         rep = reps.build_pencil(sys_, args.x, z)
     except reps.NestRepError as exc:
         raise CliError("%s: %s" % (exc.code, exc), EXIT_PRECONDITION)
-    except ValueError as exc:  # a NaN or infinite z
+    except ValueError as exc:  # x out of range, or a NaN or infinite z
         raise CliError(str(exc), EXIT_PARSE)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -187,7 +167,7 @@ def normal_form(m, cl):
 def cmd_disk_classify(args):
     from . import diskmaps
 
-    m = _load_mobius(args.map)
+    m = _load(args.map, diskmaps.MobiusMap.from_json, "Mobius map")
     cl = _decide(diskmaps.classify, m)
     inv = _decide(normal_form, m, cl)
     report = cl.to_json()
@@ -201,8 +181,8 @@ def cmd_disk_classify(args):
 def cmd_disk_conjugate(args):
     from . import diskmaps
 
-    m1 = _load_mobius(args.m1)
-    m2 = _load_mobius(args.m2)
+    m1 = _load(args.m1, diskmaps.MobiusMap.from_json, "Mobius map")
+    m2 = _load(args.m2, diskmaps.MobiusMap.from_json, "Mobius map")
     w = _decide(diskmaps.analytically_conjugate, m1, m2)
     report = {"command": "disk-conjugate", "conjugate": w is not None}
     if w is not None:
@@ -214,8 +194,8 @@ def cmd_disk_conjugate(args):
 def cmd_disk_iso(args):
     from . import diskmaps
 
-    m1 = _load_mobius(args.m1)
-    m2 = _load_mobius(args.m2)
+    m1 = _load(args.m1, diskmaps.MobiusMap.from_json, "Mobius map")
+    m2 = _load(args.m2, diskmaps.MobiusMap.from_json, "Mobius map")
     verdict, w = _decide(diskmaps.semicrossed_iso_verdict, m1, m2)
     report = {"command": "disk-iso", "verdict": verdict}
     if w is not None:
@@ -234,8 +214,8 @@ def cmd_disk_verify_witness(args):
         "cayley": diskmaps.MobiusMap(1, -1, 1, 1),        # (z - 1)/(z + 1)
         "cayley-flip": diskmaps.MobiusMap(1, 1, 1, -1),   # (z + 1)/(z - 1)
     }[args.gamma]
-    m1 = _load_mobius(args.m1)
-    m2 = _load_mobius(args.m2)
+    m1 = _load(args.m1, diskmaps.MobiusMap.from_json, "Mobius map")
+    m2 = _load(args.m2, diskmaps.MobiusMap.from_json, "Mobius map")
     dev = _decide(diskmaps.verify_conjugacy_witness, gamma, m1, m2,
                   diskmaps.disk_samples(args.samples, seed=args.seed))
     return {

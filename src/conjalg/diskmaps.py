@@ -21,6 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from ._jsonnum import _json_complex
+
 # Tolerances; maps are stored with determinant one, so each works on a fixed scale.
 TOL = 1e-9               # coefficient tests: sign, identity, fixed points, image disk
 WITNESS_TOL = 1e-10      # bound on |gamma(m1(z)) - m2(gamma(z))| over the whole closed disk
@@ -91,16 +93,6 @@ def _normalize(a, b, c, d):
     if lead.real < -TOL or (abs(lead.real) <= TOL and lead.imag < 0):
         a, b, c, d = -a, -b, -c, -d
     return a, b, c, d
-
-
-def _json_complex(re, im=0) -> complex:
-    """complex(re, im) from JSON numbers; a boolean is not a number."""
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise MobiusError("coefficients must be numbers, not booleans")
-    try:
-        return complex(re, im)
-    except OverflowError:  # an integer beyond the float range
-        raise MobiusError("coefficients must lie in the float range") from None
 
 
 @dataclass(frozen=True)
@@ -451,18 +443,36 @@ def witness_bound(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap) -> float:
     least-squares fit of R to L: a multiple of L left in E changes no map,
     yet with t = +-1 that multiple alone put the bound past WITNESS_TOL on
     witnesses whose deviation is a hundredth of it.
+
+    L, R and E are formed in floating point, and E cancels, so the bound
+    covers their rounding.  With u = 2^-53, a complex product is off by at
+    most sqrt(5) u of its modulus and a sum by u, so an entry x1 y1 + x2 y2
+    of L or R is off by at most 4u (|x1||y1| + |x2||y2|): 4u times the entry
+    of P = |m2||gamma| for R, or of Q = |gamma||m1| for L.  Forming x - t y
+    adds 4u (|x| + |t||y|), so each entry of E is off by at most
+    4u (P + |t|Q) + 4u (1 + 4u)(P + |t|Q) <= 9u (P + |t|Q) =: delta.  The
+    numerator above grows by delta_a + delta_b + (|c0| + r)(delta_c + delta_d)
+    and the denominator shrinks by 4u (P_c + P_d).  t needs no term, as the
+    identity holds for the float t.  What is left, the rounding of c0, r
+    and the sums, is a few u / (1 - |c_L/d_L|^2) relative to the bound, and
+    an underflowed product adds at most 2^-1074.
     """
-    L = _product(_entries(gamma), _entries(m1))
-    R = _product(_entries(m2), _entries(gamma))
+    u = 2.0 ** -53
+    G, M1, M2 = _entries(gamma), _entries(m1), _entries(m2)
+    L, R = _product(G, M1), _product(M2, G)
+    absG = [abs(w) for w in G]
+    P, Q = _product([abs(w) for w in M2], absG), _product(absG, [abs(w) for w in M1])
     disk = _image_disk(*L)
-    den = abs(R[3]) - abs(R[2])
+    den = abs(R[3]) - abs(R[2]) - 4 * u * (P[2] + P[3])
     if disk is None or not den > 0:
         return math.inf
     c0, r = disk
     h = math.hypot(*(abs(y) for y in L))  # scales the sums of t, which may overflow
     t = sum(x * (y / h).conjugate() for x, y in zip(R, L)) / h
     ea, eb, ec, ed = (x - t * y for x, y in zip(R, L))
-    return (abs(c0 * ec - ea) + abs(c0 * ed - eb) + r * (abs(ec) + abs(ed))) / den
+    da, db, dc, dd = (9 * u * (p + abs(t) * q) for p, q in zip(P, Q))
+    return (abs(c0 * ec - ea) + abs(c0 * ed - eb) + r * (abs(ec) + abs(ed))
+            + da + db + (abs(c0) + r) * (dc + dd)) / den
 
 
 def _verified(gamma: MobiusMap, m1: MobiusMap, m2: MobiusMap):

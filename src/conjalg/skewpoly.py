@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonnum import _json_complex
 from .dynsys import ConjugacyWitness, FiniteDynSys
 
 
@@ -30,16 +31,6 @@ def _as_coef(system: FiniteDynSys, values) -> np.ndarray:
         )
     v.flags.writeable = False
     return v
-
-
-def _json_complex(re, im) -> complex:
-    """complex(re, im) from JSON numbers; a boolean is not a number."""
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise TypeError("coefficients must be numbers, not booleans")
-    try:
-        return complex(re, im)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("coefficients must lie in the float range") from None
 
 
 @dataclass(frozen=True, eq=False)

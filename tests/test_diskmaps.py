@@ -1,6 +1,7 @@
 import cmath
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,7 @@ def near_disk_maps(draw):
 
 CIRCLE = np.exp(2j * math.pi * np.arange(720) / 720)
 SAMPLES = np.array(disk_samples(1000))
+POINTS = np.concatenate([SAMPLES, CIRCLE])
 
 
 @given(st.one_of(near_disk_maps(), st.builds(mobius_or_skip, complexes, complexes,
@@ -149,14 +151,71 @@ def test_admitted_maps_stay_in_disk_on_samples(m):
         assert np.max(np.abs((m.a * pts + m.b) / (m.c * pts + m.d))) <= 1 + TOL
 
 
+def _rational(w):
+    return Fraction(w.real), Fraction(w.imag)
+
+
+def _exact_apply(m, w):
+    """m(w) for a pair of Fractions, in rational arithmetic on m's entries."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = map(_rational, (m.a, m.b, m.c, m.d))
+    x, y = w
+    nr, ni = ar * x - ai * y + br, ar * y + ai * x + bi
+    er, ei = cr * x - ci * y + dr, cr * y + ci * x + di
+    s = er * er + ei * ei
+    return (nr * er + ni * ei) / s, (ni * er - nr * ei) / s
+
+
+def exact_deviation_squared(gamma, m1, m2, z):
+    """|gamma(m1(z)) - m2(gamma(z))|^2 with no rounding, for the float z."""
+    (p, q), (r, s) = (_exact_apply(gamma, _exact_apply(m1, _rational(z))),
+                      _exact_apply(m2, _exact_apply(gamma, _rational(z))))
+    return (p - r) ** 2 + (q - s) ** 2
+
+
+def assert_bound_holds(gamma, m1, m2):
+    """witness_bound may not read below the deviation at any sample.  The
+    float deviation has its own rounding error, 1.2e-13 on the draw of
+    `test_witness_bound_covers_the_rounding_of_its_products`, so a sample
+    whose float deviation reads above the bound is checked exactly."""
+    bound = witness_bound(gamma, m1, m2) * (1 + 1e-9)
+    for z in POINTS:
+        if abs(gamma(m1(z)) - m2(gamma(z))) > bound + 1e-13:
+            assert exact_deviation_squared(gamma, m1, m2, z) <= Fraction(bound) ** 2
+
+
 @given(disk_automorphisms(), near_disk_maps(), st.one_of(st.none(), near_disk_maps()))
 def test_witness_bound_is_sound(gamma, m1, other):
     # m2 is gamma m1 gamma^-1, or an unrelated map; either way the bound on
     # the whole closed disk may not read below the samples
     m2 = conj(gamma, m1) if other is None else other
     assume(maps_disk_to_disk(m1) and maps_disk_to_disk(m2))
-    dev = verify_conjugacy_witness(gamma, m1, m2, np.concatenate([SAMPLES, CIRCLE]))
-    assert witness_bound(gamma, m1, m2) * (1 + 1e-9) + 1e-13 >= dev
+    assert_bound_holds(gamma, m1, m2)
+
+
+def stored(a, b, c, d):
+    """A MobiusMap holding these entries as they are, not renormalised."""
+    m = MobiusMap.identity()
+    for name, w in zip("abcd", (a, b, c, d)):
+        object.__setattr__(m, name, complex(w))
+    return m
+
+
+def test_witness_bound_covers_the_rounding_of_its_products():
+    """A draw of `test_witness_bound_is_sound`, its entries as stored: m2 has
+    entries near 22, and the bound without a rounding term read 2.750e-13
+    where the exact deviation at SAMPLES[0], the largest over POINTS, is
+    3.085e-13.  Forming E = R - tL in floating point loses that much."""
+    gamma = stored(2.0655911179772897, 1.447980744435714 - 1.0816739020657127j,
+                   1.447980744435714 + 1.0816739020657127j, 2.0655911179772897)
+    m1 = stored(2.8762818315656085 + 0.7344353288451235j,
+                -2.7189851689018645 - 0.6942708967989057j,
+                -2.9002508468286554 + 0.7405556232521661j,
+                3.0680339536699823 - 0.7833976841014649j)
+    m2 = conj(gamma, m1)
+    exact = exact_deviation_squared(gamma, m1, m2, SAMPLES[0])
+    assert 3.08e-13 < math.sqrt(exact) < 3.09e-13
+    assert Fraction(witness_bound(gamma, m1, m2)) ** 2 >= exact
+    assert_bound_holds(gamma, m1, m2)
 
 
 def test_random_automorphisms_pass_closed_form():
@@ -462,6 +521,7 @@ def test_one_verification_per_decision(monkeypatch, m):
 ROTATION = conj(FIXED_GAMMA, MobiusMap.rotation(cmath.exp(0.6j)))
 VERDICT_WITHOUT_NUMPY = """
 import pickle
+from fractions import Fraction
 import sys
 from conjalg.diskmaps import classify, semicrossed_iso_verdict
 m1, m2 = pickle.load(sys.stdin.buffer)
